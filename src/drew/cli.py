@@ -246,11 +246,9 @@ def _parse_key(raw, n: int) -> np.ndarray:
     return bits.astype(np.uint8)
 
 
-def _parse_query_line(line: str, lineno: int, store: Store, naive: bool):
-    doc = json.loads(line)
+def _parse_query_doc(doc, store: Store, naive: bool):
     if not isinstance(doc, dict):
         raise ValueError("query line must be a JSON object")
-    qid = doc.get("query_id", lineno)
     emb = np.asarray(doc["embedding"], dtype=np.float64)
     if emb.shape != (store.d,):
         raise ValueError(f"embedding must have dim {store.d}")
@@ -263,7 +261,7 @@ def _parse_query_line(line: str, lineno: int, store: Store, naive: bool):
         if "key" not in doc:
             raise ValueError("drew queries need a 'key' field (or use --naive)")
         key = _parse_key(doc["key"], store.spec.n)
-    return qid, key, emb, doc.get("ground_truth_id")
+    return key, emb, doc.get("ground_truth_id")
 
 
 def cmd_query(args) -> int:
@@ -287,11 +285,15 @@ def cmd_query(args) -> int:
     for i, line in enumerate(lines):
         if not line.strip():
             continue
+        qid = i
         try:
-            parsed.append(_parse_query_line(line, i, store, args.naive))
+            doc = json.loads(line)
+            if isinstance(doc, dict):
+                qid = doc.get("query_id", i)
+            parsed.append((qid, *_parse_query_doc(doc, store, args.naive)))
             records.append(None)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            records.append({"query_id": i, "error": str(exc)})
+        except (ValueError, KeyError) as exc:
+            records.append({"query_id": qid, "error": str(exc)})
             parsed.append(None)
 
     good = [p for p in parsed if p is not None]

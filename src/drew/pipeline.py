@@ -153,10 +153,7 @@ def batch_query(
     full_rows = (
         np.arange(B)
         if naive
-        else np.flatnonzero(
-            ~reliable
-            | np.array([store.cluster_members(int(c)).size == 0 for c in clusters])
-        )
+        else np.flatnonzero(~reliable | (store.cluster_sizes[clusters] == 0))
     )
     best_id = np.empty(B, dtype=np.int64)
     best_sim = np.empty(B)

@@ -143,16 +143,34 @@ class Store:
             key=key,
         )
 
-    def cluster_members(self, cluster: int) -> np.ndarray:
-        """Row indices of a cluster, ascending (possibly empty array)."""
+    def _cluster_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR cluster layout: rows sorted by cluster, plus 2**k + 1 offsets.
+
+        The stable sort keeps each cluster's rows ascending.
+        """
         if self.clusters is None:
             raise ValueError("store has no cluster partition yet")
         if self._members is None:
-            members: dict[int, list[int]] = {}
-            for i, c in enumerate(self.clusters.tolist()):
-                members.setdefault(c, []).append(i)
-            self._members = {c: np.array(v, dtype=np.intp) for c, v in members.items()}
-        return self._members.get(int(cluster), np.empty(0, dtype=np.intp))
+            order = np.argsort(self.clusters, kind="stable")
+            sizes = np.bincount(self.clusters, minlength=1 << self.spec.k)
+            offsets = np.zeros(sizes.size + 1, dtype=np.intp)
+            np.cumsum(sizes, out=offsets[1:])
+            self._members = (order, offsets)
+        return self._members
+
+    @property
+    def cluster_sizes(self) -> np.ndarray:
+        """(2**k,) member count of every cluster."""
+        offsets = self._cluster_index()[1]
+        return np.diff(offsets)
+
+    def cluster_members(self, cluster: int) -> np.ndarray:
+        """Row indices of a cluster, ascending (possibly empty array)."""
+        order, offsets = self._cluster_index()
+        c = int(cluster)
+        if not 0 <= c < offsets.size - 1:
+            return np.empty(0, dtype=np.intp)
+        return order[offsets[c] : offsets[c + 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from drew import ecc
+from drew import backends, ecc
 from drew.backends import (
     HAS_NUMBA,
     _boxplus_np,
@@ -17,6 +17,7 @@ from drew.backends import (
     set_backend,
 )
 from drew.rng import substream
+from test_ecc_codec import TINY_SHAPES
 
 needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
@@ -73,6 +74,61 @@ def test_backend_parity_shortened_vs_full_blocks(restore_backend):
         b = ecc.decode_batch(spec, llrs)
         assert np.array_equal(a[0], b[0])
         np.testing.assert_allclose(a[1], b[1], rtol=1e-10, atol=1e-10)
+
+
+def _textbook_sc(llr, frozen):
+    """Arikan's recursive SC decoder over a (B, size) LLR block.
+
+    Returns the input decisions, the re-encoded codeword bits and the
+    decision LLR of every leaf.  The g update is written exactly as in the
+    kernel, so the two agree bit for bit wherever the kernel computes.
+    """
+    if llr.shape[1] == 1:
+        L = llr[:, 0]
+        u = np.zeros_like(L, dtype=np.uint8) if frozen[0] else (L < 0.0).astype(np.uint8)
+        return u[:, None], u[:, None], L[:, None]
+    half = llr.shape[1] // 2
+    a, b = llr[:, :half], llr[:, half:]
+    u_l, x_l, d_l = _textbook_sc(_boxplus_np(a, b), frozen[:half])
+    u_r, x_r, d_r = _textbook_sc(b + (1.0 - 2.0 * x_l) * a, frozen[half:])
+    return (np.hstack([u_l, u_r]), np.hstack([x_l ^ x_r, x_r]),
+            np.hstack([d_l, d_r]))
+
+
+@pytest.mark.parametrize("k,n", TINY_SHAPES + ((10, 100), (5, 33)))
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+def test_pruned_kernel_equals_textbook_sc(restore_backend, k, n, p):
+    set_backend("numpy")
+    spec = ecc.construct_code(k, n, 0.1)
+    llrs = _noisy_llrs(spec, p, 300, seed=k * 1000 + n)
+    u, dec = sc_decode_batch(llrs, spec.frozen_mask, spec.m)
+    ref_u, ref_x, ref_dec = _textbook_sc(llrs, spec.frozen_mask)
+    info = spec.info_positions
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(dec[:, info].view(np.uint64), ref_dec[:, info].view(np.uint64))
+    # the reference re-encodes its own decisions
+    assert np.array_equal(ref_x, ecc.polar_transform(ref_u))
+
+
+def test_schedule_skips_every_all_frozen_subtree(default_spec):
+    N, m = default_spec.block_len, default_spec.m
+    info = set(default_spec.info_positions.tolist())
+    steps = backends._schedule(default_spec.frozen_mask.tobytes(), m)
+    leaves = []
+    for op, lo, hi, _, _ in steps:
+        if op == backends._LEAF:
+            leaves.append(hi)
+            continue
+        base = lo.start % N
+        half = lo.stop - lo.start
+        # the leaf range of the node whose LLRs or bits the step writes
+        first, stop = {
+            backends._F: (base, base + half),
+            backends._G: (base + half, base + 2 * half),
+            backends._COMBINE: (base, base + 2 * half),
+        }[op]
+        assert info & set(range(first, stop)), (op, first, stop)
+    assert leaves == sorted(info)
 
 
 def test_boxplus_against_high_precision_reference():

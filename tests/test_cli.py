@@ -109,6 +109,7 @@ def test_query_roundtrip_with_bad_line(tmp_path, capsys):
         _query_line(store, 0, "first"),
         json.dumps({"query_id": "bad", "key": "01", "embedding": [1.0, 0.0]}),
         _query_line(store, 5, "third"),
+        "not json",
     ]
     qfile.write_text("\n".join(lines) + "\n")
 
@@ -116,12 +117,14 @@ def test_query_roundtrip_with_bad_line(tmp_path, capsys):
                                  "--queries", str(qfile)])
     assert code == 0
     docs = [json.loads(line) for line in out.splitlines()]
-    assert len(docs) == 3
+    assert len(docs) == 4
     assert docs[0]["query_id"] == "first"
     assert docs[0]["matched_id"] == docs[0]["ground_truth_id"]
     assert docs[0]["reliable"] is True
     assert "error" in docs[1]
+    assert docs[1]["query_id"] == "bad"
     assert docs[2]["matched_id"] == docs[2]["ground_truth_id"]
+    assert docs[3]["query_id"] == 3 and "error" in docs[3]
 
 
 def test_query_key_as_bit_list_and_naive(tmp_path, capsys):
