@@ -22,20 +22,30 @@ def _workload(spec, frames: int, p: float):
     return msgs, ecc.llr_from_keys(spec, keys, spec.design_p)
 
 
-def _time_batch(spec, llrs, repeats: int = 3) -> float:
-    best = float("inf")
+def _spread(times: list[float]) -> tuple[float, float, float]:
+    """(median, min, max) of repeated timings."""
+    return float(np.median(times)), min(times), max(times)
+
+
+def _time_batch(spec, llrs, repeats: int = 7) -> tuple[float, float, float]:
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         ecc.decode_batch(spec, llrs)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return _spread(times)
 
 
-def _time_single(spec, llrs, count: int = 200) -> float:
-    t0 = time.perf_counter()
-    for i in range(count):
-        ecc.decode(spec, llrs[i % len(llrs)])
-    return (time.perf_counter() - t0) / count
+def _time_single(spec, llrs, count: int = 200,
+                 repeats: int = 7) -> tuple[float, float, float]:
+    """Per-frame latency of ``repeats`` passes of ``count`` single decodes."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for i in range(count):
+            ecc.decode(spec, llrs[i % len(llrs)])
+        times.append((time.perf_counter() - t0) / count)
+    return _spread(times)
 
 
 def main() -> None:
@@ -53,7 +63,9 @@ def main() -> None:
     print(f"spec: k={spec.k} n={spec.n} block_len={spec.block_len} "
           f"design_p={spec.design_p}  frames={args.frames}  p={args.p}")
     print(f"available backends: {', '.join(available_backends())}")
-    header = f"{'backend':8s} {'batch (s)':>10s} {'frames/s':>12s} {'single (us)':>12s}"
+    print("medians of 7 passes, [min-max] in brackets")
+    header = (f"{'backend':8s} {'batch (s)':>10s} {'frames/s':>26s} "
+              f"{'single (us)':>24s}")
     print(header)
     print("-" * len(header))
 
@@ -62,9 +74,11 @@ def main() -> None:
         set_backend(name)
         codes, _, _, _, _ = ecc.decode_batch(spec, llrs)  # warm-up (and jit)
         results[name] = ecc.codes_to_ints(codes)
-        batch = _time_batch(spec, llrs)
-        single = _time_single(spec, llrs)
-        print(f"{name:8s} {batch:10.4f} {args.frames / batch:12.0f} {single * 1e6:12.1f}")
+        batch, b_lo, b_hi = _time_batch(spec, llrs)
+        single, s_lo, s_hi = _time_single(spec, llrs)
+        rate = f"{args.frames / batch:.0f} [{args.frames / b_hi:.0f}-{args.frames / b_lo:.0f}]"
+        lat = f"{single * 1e6:.1f} [{s_lo * 1e6:.1f}-{s_hi * 1e6:.1f}]"
+        print(f"{name:8s} {batch:10.4f} {rate:>26s} {lat:>24s}")
 
     names = list(results)
     for a, b in zip(names, names[1:]):

@@ -109,15 +109,14 @@ def drew_query(store: Store, q: Query, cfg: QueryConfig = QueryConfig()) -> Quer
     outcome = ecc.decode(spec, llrs, cfg.reliability_threshold, cfg.reliability_mode)
     cluster = ecc.code_to_int(outcome.code)
     reliable = outcome.reliable
-    scope = cluster if reliable else FULL
-    if reliable and store.cluster_members(cluster).size == 0:
+    size = int(store.cluster_sizes[cluster])
+    if reliable and size == 0:
         log.debug("decoded cluster %d is empty; falling back to full scan", cluster)
-        scope = FULL
         reliable = False
+    scope, scope_size = (cluster, size) if reliable else (FULL, len(store))
     matches = top_matches(store, scope, q.observed_embedding, p=1)
-    scope_size = store.cluster_members(cluster).size if scope is not FULL else len(store)
     best_id, best_sim = matches[0]
-    return _finish(best_id, best_sim, cluster, reliable, int(scope_size), cfg)
+    return _finish(best_id, best_sim, cluster, reliable, scope_size, cfg)
 
 
 def naive_query(store: Store, q: Query, cfg: QueryConfig = QueryConfig()) -> QueryResult:

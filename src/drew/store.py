@@ -6,6 +6,20 @@ and attaches the cluster's encoded watermark key.  Search is an exact dot
 product scan over a scope (one cluster or the whole store); nothing
 approximate is ever used.
 
+Every scan runs one kernel, ``_exact_top``: BLAS similarities pick
+candidates, and only candidates are rescored with the fixed-order einsum
+of ``_row_sims``, which alone produces the similarities that are returned.
+A row is a candidate when its BLAS similarity lies within ``2*delta`` of
+the query's p-th largest one, with ``delta = 2 * gamma_{d+1} *
+(1 + _NORM_TOL) * |q|`` and ``gamma_m = m*u / (1 - m*u)``, ``u = 2**-53``:
+each kernel is within ``gamma_d * |row| * |q|`` of the exact dot product
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1), rows are
+unit norm within ``_NORM_TOL`` (checked at construction) and ``|q|`` is
+the query norm as measured, so ``delta`` bounds the BLAS-vs-einsum gap
+and no row outside the shortlist can reach the top p.  Results are
+therefore identical to an einsum scan of the whole scope followed by a
+full (similarity desc, id asc) sort.
+
 Embedding values are quantised to the float32 grid at ingestion so that the
 on-disk format (little-endian float32) round-trips bit-exactly, while all
 similarity arithmetic runs in float64.
@@ -311,8 +325,7 @@ def top_matches(store: Store, scope, q: np.ndarray, p: int = 1) -> list[tuple[in
         raise ValueError("p must be >= 1")
     vec = _check_query_vector(store, q)
     if isinstance(scope, _FullScope):
-        sims = _row_sims(store.embeddings, vec)
-        ids = store.ids
+        mat, ids = store.embeddings, store.ids
     else:
         cluster = int(scope)
         if store.spec is None:
@@ -320,27 +333,105 @@ def top_matches(store: Store, scope, q: np.ndarray, p: int = 1) -> list[tuple[in
         if not 0 <= cluster < (1 << store.spec.k):
             raise ValueError(f"cluster {cluster} out of range")
         members = store.cluster_members(cluster)
-        if members.size == 0:
-            return []
-        sims = _row_sims(store.embeddings[members], vec)
-        ids = store.ids[members]
-    if sims.size == 0:
+        mat, ids = store.embeddings[members], store.ids[members]
+    if ids.size == 0:
         return []
-    order = np.lexsort((ids, -sims))[: min(p, sims.size)]
-    return [(int(ids[i]), float(sims[i])) for i in order]
+    rows, sims = _exact_top(mat, ids, vec[None, :], p)
+    return [(int(ids[i]), float(s)) for i, s in zip(rows[0], sims[0])]
 
 
 def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Per-row dot products with a fixed accumulation order.
 
-    einsum sums each row independently of the matrix height and of the
-    row's position, so a scan over a gathered subset reproduces the full
-    scan bit for bit; BLAS matvec/matmul kernels do not guarantee that.
-    Contiguity is forced because the summation order also depends on it.
+    ``vec`` is one (d,) query, or an (n, d) matrix paired row by row with
+    ``mat``.  einsum sums each row independently of the matrix height, of
+    the row's position and of which of the two forms is used, so a scan
+    over a gathered subset reproduces the full scan bit for bit; BLAS
+    matvec/matmul kernels do not guarantee that.  Contiguity is forced
+    because the summation order also depends on it.
+
+    Like any float64 sum of d products, each result lies within
+    ``gamma_d * |row| * |vec|`` of the exact dot product, with
+    ``gamma_d = d*u / (1 - d*u)`` and ``u = 2**-53`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1); :func:`_exact_top` relies on
+    that bound to shortlist with BLAS and rescore here.
     """
+    spec = "nd,d->n" if vec.ndim == 1 else "nd,nd->n"
     return np.einsum(
-        "nd,d->n", np.ascontiguousarray(mat), np.ascontiguousarray(vec)
+        spec, np.ascontiguousarray(mat), np.ascontiguousarray(vec)
     )
+
+
+#: Upper bound, in bytes, on one chunk's BLAS similarity block and on one
+#: rescore gather; scans of many queries are split to stay under it.
+_CHUNK_BYTES = 16 << 20
+
+
+def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray,
+               p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-p rows of ``mat`` for every query row: shortlist, rescore.
+
+    Returns (rows, sims), both (B, min(p, N)), ordered per query by
+    similarity descending, ties broken by ascending id.  Every similarity
+    returned comes from :func:`_row_sims`; BLAS only picks which rows get
+    rescored (the shortlist-then-rerank pattern of FAISS, Johnson, Douze,
+    Jegou 2017, kept exact):
+
+    1. ``b = Q @ mat.T`` with BLAS, in query chunks whose (chunk, N) block
+       stays under ``_CHUNK_BYTES``.
+    2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
+       p-th largest ``b`` and ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL)
+       * |q|``.  BLAS and einsum are each within ``gamma_d * |row| * |q|``
+       of the exact dot product, so ``delta`` bounds ``|b - einsum|``
+       (gamma_{d+1} in place of gamma_d absorbs the rounding of the
+       threshold itself and of the measured norms).  A dropped row then
+       has ``einsum < t - delta``, strictly below the einsum of each of
+       the p rows with ``b >= t``, so it cannot reach the top p.
+    3. Rescore only the kept rows with :func:`_row_sims`.
+    4. Order the kept rows alone by (similarity desc, id asc).
+
+    Preconditions: rows of ``mat`` are unit norm within ``_NORM_TOL``
+    (true of every subset of a :class:`Store`); query norms are taken as
+    measured and must be finite.  ``mat`` must have at least one row.
+    """
+    N, d = mat.shape
+    if N == 0:
+        raise ValueError("cannot scan an empty scope")
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    qnorms = np.sqrt(np.einsum("bd,bd->b", queries, queries))
+    if not np.isfinite(qnorms).all():
+        raise ValueError("query embeddings must be finite")
+    u = 2.0 ** -53
+    gamma = (d + 1) * u / (1.0 - (d + 1) * u)
+    widths = 4.0 * gamma * (1.0 + _NORM_TOL) * qnorms  # 2 * delta per query
+    keep = min(p, N)
+    B = queries.shape[0]
+    out_rows = np.empty((B, keep), dtype=np.intp)
+    out_sims = np.empty((B, keep))
+    step = max(1, _CHUNK_BYTES // (8 * N))
+    gather = max(1, _CHUNK_BYTES // (16 * d))  # rows of mat[row] plus Q[qrow]
+    for lo in range(0, B, step):
+        Q = queries[lo : lo + step]
+        b = Q @ mat.T
+        if keep == 1:
+            t = b.max(axis=1)
+        else:
+            t = np.partition(b, N - keep, axis=1)[:, N - keep]
+        # row-major: qrow ascends, and every query keeps >= ``keep`` rows
+        qrow, row = np.nonzero(b >= (t - widths[lo : lo + step])[:, None])
+        del b
+        sims = np.empty(row.size)
+        for s in range(0, row.size, gather):
+            part = slice(s, s + gather)
+            sims[part] = _row_sims(mat[row[part]], Q[qrow[part]])
+        if keep > 1 or row.size > Q.shape[0]:
+            order = np.lexsort((ids[row], -sims, qrow))
+            starts = np.searchsorted(qrow, np.arange(Q.shape[0]))
+            pick = order[starts[:, None] + np.arange(keep)]
+            row, sims = row[pick], sims[pick]
+        out_rows[lo : lo + step] = row.reshape(-1, keep)
+        out_sims[lo : lo + step] = sims.reshape(-1, keep)
+    return out_rows, out_sims
 
 
 def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
@@ -348,22 +439,17 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
     """Exact argmax over ``embeddings`` for each query row.
 
     Returns (best_index, best_sim) per query, ties broken by ascending id.
-    This is the same ordering rule as :func:`top_matches` with p=1, and it
-    uses the same similarity kernel, so the results agree exactly.
+    This is :func:`top_matches` with p=1 on a batch: both run
+    :func:`_exact_top`, so the results agree bit for bit.  Candidates come
+    from one BLAS product per chunk of queries (at most ``_CHUNK_BYTES`` =
+    16 MB of similarities per chunk); only rows within ``2*delta`` of each
+    query's BLAS maximum are rescored with :func:`_row_sims`, where
+    ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL) * |q|`` bounds the BLAS
+    vs einsum gap.  Rows must be unit norm within ``_NORM_TOL``; query
+    norms are taken as measured.
     """
-    B = queries.shape[0]
-    best_idx = np.empty(B, dtype=np.intp)
-    best_sim = np.empty(B)
-    for j in range(B):
-        sims = _row_sims(embeddings, queries[j])
-        amax = int(np.argmax(sims))
-        mx = sims[amax]
-        cand = np.flatnonzero(sims == mx)
-        if cand.size > 1:
-            amax = int(cand[np.argmin(ids[cand])])
-        best_idx[j] = amax
-        best_sim[j] = mx
-    return best_idx, best_sim
+    rows, sims = _exact_top(embeddings, ids, queries, 1)
+    return rows[:, 0], sims[:, 0]
 
 
 # ---------------------------------------------------------------------------

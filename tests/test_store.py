@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from drew import ecc
+from drew import store as store_mod
 from drew.rng import substream
 from drew.store import (
     FULL,
+    Store,
     StoreFormatError,
+    _row_sims,
     assign_clusters,
     export_csv,
     ingest,
@@ -158,7 +161,102 @@ def test_scan_top1_matches_top_matches(small_store):
     for j in range(32):
         best = top_matches(small_store, FULL, qs[j], p=1)[0]
         assert int(small_store.ids[idx[j]]) == best[0]
-        assert sims[j] == pytest.approx(best[1], abs=1e-12)
+        assert _bits(sims[j]) == _bits(best[1])
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _reference_top(mat, ids, q, p):
+    """Test-only oracle: einsum over the whole scope, then a full lexsort."""
+    sims = _row_sims(mat, q)
+    order = np.lexsort((ids, -sims))[:p]
+    return ids[order], sims[order]
+
+
+def _near_tie_store(seed: int, count: int = 3000, d: int = 64):
+    """One unit vector repeated ``count`` times, two coordinates per row
+    nudged by a relative 2**-52, ids shuffled; clustered into 8 clusters.
+
+    Similarities to the base vector differ by a few ulps, below the
+    BLAS-vs-einsum disagreement, so only a correct shortlist margin keeps
+    the exact einsum winners.
+    """
+    rng = substream(seed, "near-ties")
+    base = rng.standard_normal(d)
+    base /= np.linalg.norm(base)
+    emb = np.repeat(base[None, :], count, axis=0)
+    rows = np.arange(count)
+    for _ in range(2):
+        cols = rng.integers(0, d, size=count)
+        emb[rows, cols] *= 1.0 + rng.choice([-1.0, 1.0], size=count) * 2.0 ** -52
+    ids = rng.permutation(count).astype(np.uint64) * 7 + 3
+    spec = ecc.construct_code(3, 8, 0.1)
+    store = assign_clusters(Store(ids, emb), 3, seed=seed, spec=spec)
+    return store, base
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_matches_exact_under_near_ties(seed):
+    store, base = _near_tie_store(seed)
+    cluster = int(store.clusters[0])
+    members = store.cluster_members(cluster)
+    scopes = [
+        (FULL, store.embeddings, store.ids),
+        (cluster, store.embeddings[members], store.ids[members]),
+    ]
+    for scope, mat, ids in scopes:
+        for p in (1, 3, len(ids)):
+            got = top_matches(store, scope, base, p=p)
+            ref_ids, ref_sims = _reference_top(mat, ids, base, p)
+            assert [i for i, _ in got] == ref_ids.astype(int).tolist()
+            assert np.array_equal(_bits([s for _, s in got]), _bits(ref_sims))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_top1_exact_under_near_ties(seed):
+    store, base = _near_tie_store(seed)
+    rng = substream(seed, "near-tie-queries")
+    queries = np.vstack([base, store.embeddings[rng.integers(0, len(store), 15)]])
+    idx, sims = scan_top1(store.embeddings, store.ids, queries)
+    for j, q in enumerate(queries):
+        ref_ids, ref_sims = _reference_top(store.embeddings, store.ids, q, 1)
+        assert store.ids[idx[j]] == ref_ids[0]
+        assert _bits(sims[j]) == _bits(ref_sims[0])
+
+
+def test_chunked_scans_equal_one_pass(monkeypatch):
+    """Query chunks and rescore gathers split at any size give the same
+    answers as a single pass."""
+    store, base = _near_tie_store(0)
+    queries = np.vstack([base, store.embeddings[:15]])
+    one_idx, one_sims = scan_top1(store.embeddings, store.ids, queries)
+    one_all = top_matches(store, FULL, base, p=len(store))
+    monkeypatch.setattr(store_mod, "_CHUNK_BYTES", 8 * len(store) * 3)
+    idx, sims = scan_top1(store.embeddings, store.ids, queries)
+    assert np.array_equal(idx, one_idx)
+    assert np.array_equal(_bits(sims), _bits(one_sims))
+    assert top_matches(store, FULL, base, p=len(store)) == one_all
+
+
+@pytest.mark.parametrize("d", [8, 33, 64, 128])
+def test_row_sims_bitwise_stable_under_gather(d):
+    """The rescore assumption: einsum over gathered rows, alone or paired
+    row by row with gathered queries, equals the full scan's entries."""
+    rng = substream(d, "row-sims")
+    mat = rng.standard_normal((1001, d))
+    mat /= np.linalg.norm(mat, axis=1)[:, None]
+    queries = rng.standard_normal((4, d))
+    full = [_row_sims(mat, q) for q in queries]
+    for size in (1, 2, 3, 7, 99, 1001):
+        idx = rng.choice(1001, size=size, replace=False)
+        qidx = rng.integers(0, len(queries), size=size)
+        for q, sims in zip(queries, full):
+            assert np.array_equal(_bits(_row_sims(mat[idx], q)), _bits(sims[idx]))
+        paired = _row_sims(mat[idx], queries[qidx])
+        expect = np.array([full[j][i] for i, j in zip(idx, qidx)])
+        assert np.array_equal(_bits(paired), _bits(expect))
 
 
 def test_save_load_roundtrip(tmp_path, small_store):
