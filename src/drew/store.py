@@ -18,7 +18,8 @@ unit norm within ``_NORM_TOL`` (checked at construction) and ``|q|`` is
 the query norm as measured, so ``delta`` bounds the BLAS-vs-einsum gap
 and no row outside the shortlist can reach the top p.  Results are
 therefore identical to an einsum scan of the whole scope followed by a
-full (similarity desc, id asc) sort.
+full (similarity desc, id asc) sort.  The BLAS product runs in row blocks
+small enough that BLAS never wakes its worker threads (``_BLAS_MADDS``).
 
 Embedding values are quantised to the float32 grid at ingestion so that the
 on-disk format (little-endian float32) round-trips bit-exactly, while all
@@ -366,6 +367,32 @@ def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 #: rescore gather; scans of many queries are split to stay under it.
 _CHUNK_BYTES = 16 << 20
 
+#: Multiply-adds per BLAS call of the candidate product.  OpenBLAS runs a
+#: product this small on the calling thread (OpenBLAS 0.3.31 starts its
+#: worker threads somewhere above 2**18).  A threaded call is a lottery:
+#: while the OS keeps a worker on the caller's own CPU, which it may do for
+#: a second or more after a process starts, every threaded call takes a
+#: scheduler time slice (~8 ms on a 2-vCPU VM) instead of ~1.3 ms for a
+#: full 100k x 64 scan, so scan times would depend on thread placement.
+_BLAS_MADDS = 1 << 17
+
+
+def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``Q @ mat.T`` with BLAS, one block of rows per call.
+
+    Each call covers at most ``_BLAS_MADDS`` multiply-adds, so it runs on
+    the calling thread.  Summation order may differ from one block size to
+    the next; :func:`_exact_top` only needs each value within
+    ``gamma_d * |row| * |q|`` of the exact dot product, which any order is.
+    """
+    B, d = Q.shape
+    N = mat.shape[0]
+    rows = max(1, _BLAS_MADDS // (B * d))
+    b = np.empty((B, N))
+    for lo in range(0, N, rows):
+        np.matmul(Q, mat[lo : lo + rows].T, out=b[:, lo : lo + rows])
+    return b
+
 
 def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray,
                p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,8 +404,9 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray,
     rescored (the shortlist-then-rerank pattern of FAISS, Johnson, Douze,
     Jegou 2017, kept exact):
 
-    1. ``b = Q @ mat.T`` with BLAS, in query chunks whose (chunk, N) block
-       stays under ``_CHUNK_BYTES``.
+    1. ``b = Q @ mat.T`` with BLAS (:func:`_blas_sims`, single-threaded
+       row blocks), in query chunks whose (chunk, N) block stays under
+       ``_CHUNK_BYTES``.
     2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
        p-th largest ``b`` and ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL)
        * |q|``.  BLAS and einsum are each within ``gamma_d * |row| * |q|``
@@ -412,7 +440,7 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray,
     gather = max(1, _CHUNK_BYTES // (16 * d))  # rows of mat[row] plus Q[qrow]
     for lo in range(0, B, step):
         Q = queries[lo : lo + step]
-        b = Q @ mat.T
+        b = _blas_sims(mat, Q)
         if keep == 1:
             t = b.max(axis=1)
         else:
@@ -441,12 +469,12 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
     Returns (best_index, best_sim) per query, ties broken by ascending id.
     This is :func:`top_matches` with p=1 on a batch: both run
     :func:`_exact_top`, so the results agree bit for bit.  Candidates come
-    from one BLAS product per chunk of queries (at most ``_CHUNK_BYTES`` =
-    16 MB of similarities per chunk); only rows within ``2*delta`` of each
-    query's BLAS maximum are rescored with :func:`_row_sims`, where
-    ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL) * |q|`` bounds the BLAS
-    vs einsum gap.  Rows must be unit norm within ``_NORM_TOL``; query
-    norms are taken as measured.
+    from a single-threaded BLAS product per chunk of queries (at most
+    ``_CHUNK_BYTES`` = 16 MB of similarities per chunk); only rows within
+    ``2*delta`` of each query's BLAS maximum are rescored with
+    :func:`_row_sims`, where ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL) *
+    |q|`` bounds the BLAS vs einsum gap.  Rows must be unit norm within
+    ``_NORM_TOL``; query norms are taken as measured.
     """
     rows, sims = _exact_top(embeddings, ids, queries, 1)
     return rows[:, 0], sims[:, 0]

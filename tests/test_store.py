@@ -227,17 +227,52 @@ def test_scan_top1_exact_under_near_ties(seed):
 
 
 def test_chunked_scans_equal_one_pass(monkeypatch):
-    """Query chunks and rescore gathers split at any size give the same
-    answers as a single pass."""
+    """Query chunks, BLAS row blocks and rescore gathers split at any size
+    give the same answers as a single pass."""
     store, base = _near_tie_store(0)
     queries = np.vstack([base, store.embeddings[:15]])
     one_idx, one_sims = scan_top1(store.embeddings, store.ids, queries)
     one_all = top_matches(store, FULL, base, p=len(store))
     monkeypatch.setattr(store_mod, "_CHUNK_BYTES", 8 * len(store) * 3)
+    monkeypatch.setattr(store_mod, "_BLAS_MADDS", store.d * 7)
     idx, sims = scan_top1(store.embeddings, store.ids, queries)
     assert np.array_equal(idx, one_idx)
     assert np.array_equal(_bits(sims), _bits(one_sims))
     assert top_matches(store, FULL, base, p=len(store)) == one_all
+
+
+class _MatmulLog:
+    """Stand-in for ``drew.store.np`` that logs each ``matmul``'s multiply-adds."""
+
+    def __init__(self):
+        self.madds = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.madds.append(a.shape[0] * a.shape[1] * b.shape[-1])
+        return np.matmul(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_blas_calls_stay_single_threaded_size(monkeypatch, batch):
+    """Every BLAS call of a scan is at most ``_BLAS_MADDS`` multiply-adds
+    (small enough to run on the calling thread), and together the calls
+    cover each (query, row) pair once."""
+    store = synthetic_store(5000, 64, seed=4)
+    rng = substream(batch, "blas-blocks")
+    queries = rng.standard_normal((batch, 64))
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    log = _MatmulLog()
+    monkeypatch.setattr(store_mod, "np", log)
+    if batch == 1:
+        top_matches(store, FULL, queries[0], p=3)
+    else:
+        scan_top1(store.embeddings, store.ids, queries)
+    assert len(log.madds) > 1
+    assert max(log.madds) <= store_mod._BLAS_MADDS
+    assert sum(log.madds) == batch * len(store) * 64
 
 
 @pytest.mark.parametrize("d", [8, 33, 64, 128])
