@@ -22,7 +22,7 @@ from . import ecc
 from .channel import AttackConfig, AttackStreams, apply_attack
 from .pipeline import NO_MATCH, QueryConfig
 from .rng import substream
-from .store import Store, scan_top1
+from .store import Store, scan_ranks, scan_top1
 from .synthetic import heldout_pool
 
 #: Reported redundancy values are capped here; beyond it they print as inf.
@@ -49,50 +49,12 @@ def _attack_queries(store: Store, attack: AttackConfig, n_queries: int, seed: in
     if attack.p_a > 0.0:
         mask = (streams.key.random(keys.shape) < attack.p_a).astype(np.uint8)
         keys = keys ^ mask
-    embs = store.embeddings[gt_idx]
+    embs = store.embeddings[gt_idx].astype(np.float64)
     if attack.sigma > 0.0:
         embs = embs + attack.sigma * streams.embedding.standard_normal(embs.shape)
         norms = np.sqrt(np.einsum("nd,nd->n", embs, embs))
         embs = embs / norms[:, None]
-    else:
-        embs = embs.copy()
     return keys, embs, gt_idx
-
-
-def _full_scan_with_ranks(store: Store, embs: np.ndarray, gt_idx: np.ndarray,
-                          chunk: int = 128):
-    """Exact full scan returning, per query, the argmax (tie-broken by id),
-    its similarity, and the ground truth's 1-based rank under the same
-    (similarity desc, id asc) ordering."""
-    ids = store.ids
-    B = embs.shape[0]
-    best_idx = np.empty(B, dtype=np.intp)
-    best_sim = np.empty(B)
-    gt_rank = np.empty(B, dtype=np.int64)
-    emb_t = store.embeddings.T
-    for lo in range(0, B, chunk):
-        hi = min(lo + chunk, B)
-        sims = embs[lo:hi] @ emb_t  # (c, N), rows contiguous
-        rows = np.arange(hi - lo)
-        amax = np.argmax(sims, axis=1)
-        mx = sims[rows, amax]
-        ties = (sims == mx[:, None]).sum(axis=1)
-        for j in np.flatnonzero(ties > 1):
-            cand = np.flatnonzero(sims[j] == mx[j])
-            amax[j] = cand[np.argmin(ids[cand])]
-        g = gt_idx[lo:hi]
-        gsim = sims[rows, g]
-        ahead = (sims > gsim[:, None]).sum(axis=1)
-        # tie peers: same similarity, smaller id (the ground truth itself
-        # always sits in the equality count, so > 1 means real peers)
-        eqc = (sims == gsim[:, None]).sum(axis=1)
-        for j in np.flatnonzero(eqc > 1):
-            peers = np.flatnonzero(sims[j] == gsim[j])
-            ahead[j] += int((ids[peers] < ids[g[j]]).sum())
-        best_idx[lo:hi] = amax
-        best_sim[lo:hi] = mx
-        gt_rank[lo:hi] = ahead + 1
-    return best_idx, best_sim, gt_rank
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +113,7 @@ def _evaluate_attack(
     dec_cluster = ecc.codes_to_ints(codes)
     correct_cluster = dec_cluster == gt_cluster
 
-    naive_idx, naive_sim, gt_rank = _full_scan_with_ranks(store, embs, gt_idx)
+    naive_idx, naive_sim, gt_rank = scan_ranks(store.embeddings, store.ids, embs, gt_idx)
     naive_id = store.ids[naive_idx].astype(np.int64)
 
     # routed scope only where the decoder is confident and the cluster has
@@ -487,7 +449,7 @@ def lemma1_check(
     keys, embs, gt_idx = _attack_queries(store, attack, n_queries, seed)
     del keys  # oracle routing: the decoder plays no part here
     gt_ids = store.ids[gt_idx].astype(np.int64)
-    naive_idx, _, gt_rank = _full_scan_with_ranks(store, embs, gt_idx)
+    naive_idx, _, gt_rank = scan_ranks(store.embeddings, store.ids, embs, gt_idx)
 
     scoped_idx = np.empty(len(gt_idx), dtype=np.intp)
     groups: dict[int, list[int]] = {}

@@ -6,24 +6,47 @@ and attaches the cluster's encoded watermark key.  Search is an exact dot
 product scan over a scope (one cluster or the whole store); nothing
 approximate is ever used.
 
-Every scan runs one kernel, ``_exact_top``: BLAS similarities pick
-candidates, and only candidates are rescored with the fixed-order einsum
-of ``_row_sims``, which alone produces the similarities that are returned.
-A row is a candidate when its BLAS similarity lies within ``2*delta`` of
-the query's p-th largest one, with ``delta = 2 * gamma_{d+1} *
-(1 + _NORM_TOL) * |q|`` and ``gamma_m = m*u / (1 - m*u)``, ``u = 2**-53``:
-each kernel is within ``gamma_d * |row| * |q|`` of the exact dot product
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1), rows are
-unit norm within ``_NORM_TOL`` (checked at construction) and ``|q|`` is
-the query norm as measured, so ``delta`` bounds the BLAS-vs-einsum gap
-and no row outside the shortlist can reach the top p.  Results are
-therefore identical to an einsum scan of the whole scope followed by a
-full (similarity desc, id asc) sort.  The BLAS product runs in row blocks
-small enough that BLAS never wakes its worker threads (``_BLAS_MADDS``).
+Rows are float32 in memory and on disk: ingestion normalises in float64
+and snaps values to the float32 grid, and the file stores float32.  A
+:class:`Store` keeps whatever float dtype it is given, so one built
+directly from float64 rows stays float64 and runs the same code.  Queries
+and every returned similarity are float64.
 
-Embedding values are quantised to the float32 grid at ingestion so that the
-on-disk format (little-endian float32) round-trips bit-exactly, while all
-similarity arithmetic runs in float64.
+Every scan runs one kernel, ``_exact_top``: a BLAS product in the rows'
+dtype picks candidates, and only candidates are rescored with the
+fixed-order float64 einsum of ``_row_sims`` (rows cast up exactly), which
+alone produces the similarities that are returned ("compute in low
+precision, verify in high precision").  A row is a candidate when its BLAS
+similarity lies within ``2*delta`` of the query's p-th largest one, with
+
+    delta = (gamma_{d+1}(1 + u) + u + gamma64_{d+1}) * (1 + _NORM_TOL) * |q|
+            + 2 * d * s
+
+where ``gamma_m = m*u / (1 - m*u)``, ``u`` is the unit roundoff of the
+rows' dtype (2**-24 for float32, 2**-53 for float64), ``gamma64`` uses
+``u = 2**-53`` and ``s`` is that dtype's smallest subnormal.  The BLAS dot
+product of the query rounded to the rows' dtype is within
+``gamma_d * |q|(1 + u) * |row|`` of its exact value, rounding the query
+moves the exact value by at most ``u * |q| * |row|``, and the float64
+einsum is within ``gamma64_d * |q| * |row|`` of the exact product
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1); the
+``2*d*s`` term covers products and query coordinates that underflow to
+subnormals, where relative bounds fail.  Preconditions: rows are unit
+norm within ``_NORM_TOL`` (checked at construction) and ``|q|`` is the
+query norm as measured, so ``delta`` bounds the BLAS-vs-einsum gap and no
+row outside the shortlist can reach the top p.  Thresholds are rounded
+outward when they are cast to the rows' dtype.  Results are therefore
+identical to an einsum scan of the whole scope followed by a full
+(similarity desc, id asc) sort.  The BLAS product runs in row blocks small
+enough that BLAS never wakes its worker threads (``_BLAS_MADDS``).
+
+The evaluation's scan (:func:`scan_ranks`) also returns each query's
+ground-truth rank under the same order, from the same BLAS block: with
+``g = einsum(q, gt_row)``, a row whose BLAS similarity exceeds
+``g + delta`` is ahead outright, one below ``g - delta`` is behind, and
+only rows within ``delta`` of ``g`` are rescored to settle their order.
+When the query's BLAS maximum is at most ``g + delta``, that band lies
+inside the argmax shortlist and no extra pass is made.
 
 Binary layout (all little-endian): magic ``DREWSTOR``, u16 version, u32 d,
 u32 k, u64 N, u32 metadata length, metadata JSON (the code spec document
@@ -34,6 +57,7 @@ packed LSB-first, d float32 values), and a trailing u64 checksum: the first
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import struct
@@ -48,6 +72,8 @@ from .rng import substream
 MAGIC = b"DREWSTOR"
 FORMAT_VERSION = 1
 _NORM_TOL = 1e-6
+#: Rows per float64 block when the store validates row norms.
+_CHECK_ROWS = 1 << 13
 
 
 class _FullScope:
@@ -83,7 +109,9 @@ class Store:
 
     def __init__(self, ids, embeddings, clusters=None, spec=None, seed=None):
         ids = np.asarray(ids, dtype=np.uint64)
-        embeddings = np.asarray(embeddings, dtype=np.float64)
+        embeddings = np.asarray(embeddings)
+        if embeddings.dtype not in (np.float32, np.float64):
+            embeddings = embeddings.astype(np.float64)
         if embeddings.ndim != 2:
             raise ValueError("embeddings must be a (N, d) matrix")
         if ids.shape != (embeddings.shape[0],):
@@ -92,9 +120,10 @@ class Store:
             raise ValueError("duplicate ids in store")
         if not np.all(np.isfinite(embeddings)):
             raise ValueError("embeddings must be finite")
-        if embeddings.shape[0]:
-            norms = np.linalg.norm(embeddings, axis=1)
-            if np.any(np.abs(norms - 1.0) > _NORM_TOL):
+        # norms in float64, a block of rows at a time: no full float64 copy
+        for lo in range(0, embeddings.shape[0], _CHECK_ROWS):
+            block = embeddings[lo : lo + _CHECK_ROWS].astype(np.float64)
+            if np.any(np.abs(np.linalg.norm(block, axis=1) - 1.0) > _NORM_TOL):
                 raise ValueError("embeddings must be unit norm within 1e-6")
         if (clusters is None) != (spec is None):
             raise ValueError("clusters and spec must be set together")
@@ -195,17 +224,18 @@ class Store:
 def _quantize_unit(vectors: np.ndarray) -> np.ndarray:
     """Normalise rows in float64, then snap values to the float32 grid.
 
-    Rows that already sit on the grid with near-unit norm pass through
-    untouched, making export -> ingest an exact fixed point.
+    Returns float32 rows.  Rows that already sit on the grid with near-unit
+    norm pass through untouched, making export -> ingest an exact fixed
+    point.
     """
     v = np.asarray(vectors, dtype=np.float64)
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("zero-norm embedding rejected")
-    on_grid = v.astype(np.float32).astype(np.float64)
+    on_grid = v.astype(np.float32)
     if np.array_equal(on_grid, v) and np.abs(norms - 1.0).max() < _NORM_TOL:
-        return v.copy()
-    return (v / norms[:, None]).astype(np.float32).astype(np.float64)
+        return on_grid
+    return (v / norms[:, None]).astype(np.float32)
 
 
 def ingest(rows, d: int | None = None) -> Store:
@@ -337,15 +367,16 @@ def top_matches(store: Store, scope, q: np.ndarray, p: int = 1) -> list[tuple[in
         mat, ids = store.embeddings[members], store.ids[members]
     if ids.size == 0:
         return []
-    rows, sims = _exact_top(mat, ids, vec[None, :], p)
+    rows, sims, _ = _exact_top(mat, ids, vec[None, :], p)
     return [(int(ids[i]), float(s)) for i, s in zip(rows[0], sims[0])]
 
 
 def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Per-row dot products with a fixed accumulation order.
+    """Per-row float64 dot products with a fixed accumulation order.
 
     ``vec`` is one (d,) query, or an (n, d) matrix paired row by row with
-    ``mat``.  einsum sums each row independently of the matrix height, of
+    ``mat``.  Rows of any float dtype are cast to float64 first; the cast
+    is exact.  einsum sums each row independently of the matrix height, of
     the row's position and of which of the two forms is used, so a scan
     over a gathered subset reproduces the full scan bit for bit; BLAS
     matvec/matmul kernels do not guarantee that.  Contiguity is forced
@@ -359,7 +390,9 @@ def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """
     spec = "nd,d->n" if vec.ndim == 1 else "nd,nd->n"
     return np.einsum(
-        spec, np.ascontiguousarray(mat), np.ascontiguousarray(vec)
+        spec,
+        np.ascontiguousarray(mat, dtype=np.float64),
+        np.ascontiguousarray(vec, dtype=np.float64),
     )
 
 
@@ -377,46 +410,104 @@ _CHUNK_BYTES = 16 << 20
 _BLAS_MADDS = 1 << 17
 
 
-def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """``Q @ mat.T`` with BLAS, one block of rows per call.
+@functools.lru_cache(maxsize=None)
+def _margin(dtype: np.dtype, d: int) -> tuple[float, float, float]:
+    """``(coef, floor, qmax)`` for rows of ``dtype`` and dimension ``d``.
 
-    Each call covers at most ``_BLAS_MADDS`` multiply-adds, so it runs on
-    the calling thread.  Summation order may differ from one block size to
-    the next; :func:`_exact_top` only needs each value within
-    ``gamma_d * |row| * |q|`` of the exact dot product, which any order is.
+    ``delta = coef * |q| + floor`` bounds the gap between a BLAS similarity
+    (query rounded to ``dtype``) and the float64 einsum (module docstring).
+    Queries must have ``|q| < qmax`` so that no BLAS partial sum overflows.
     """
+    info = np.finfo(dtype)
+    u = float(info.eps) / 2.0
+    u64 = 2.0 ** -53
+    m = d + 1
+    gamma = m * u / (1.0 - m * u)
+    gamma64 = m * u64 / (1.0 - m * u64)
+    coef = (gamma * (1.0 + u) + u + gamma64) * (1.0 + _NORM_TOL)
+    floor = 2.0 * d * float(info.smallest_subnormal)
+    return coef, floor, float(info.max) / 4.0
+
+
+def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``Q @ mat.T`` with BLAS in ``mat``'s dtype, one block of rows per call.
+
+    ``Q`` is rounded to ``mat``'s dtype.  Each call covers at most
+    ``_BLAS_MADDS`` multiply-adds, so it runs on the calling thread.
+    Summation order may differ from one block size to the next;
+    :func:`_exact_top` only needs each value within ``gamma_d * |row| *
+    |q|`` of the exact dot product of the rounded query, which any order is.
+    """
+    Q = Q.astype(mat.dtype, copy=False)
     B, d = Q.shape
     N = mat.shape[0]
     rows = max(1, _BLAS_MADDS // (B * d))
-    b = np.empty((B, N))
+    if rows >= N:
+        return np.matmul(Q, mat.T)
+    b = np.empty((B, N), dtype=mat.dtype)
     for lo in range(0, N, rows):
         np.matmul(Q, mat[lo : lo + rows].T, out=b[:, lo : lo + rows])
     return b
 
 
-def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray,
-               p: int) -> tuple[np.ndarray, np.ndarray]:
+def _outward(x: np.ndarray, dtype: np.dtype, toward: float) -> np.ndarray:
+    """``x`` cast to ``dtype``, then moved one ulp toward ``toward`` (-inf or
+    +inf), so the result never lies on the inner side of ``x``."""
+    return np.nextafter(x.astype(dtype), toward)
+
+
+def _rescore(mat, row, Q, qrow=None) -> np.ndarray:
+    """``_row_sims(mat[row], Q[qrow])`` in gathers of at most ``_CHUNK_BYTES``;
+    ``qrow`` None pairs ``row`` with the rows of ``Q`` in order."""
+    gather = max(1, _CHUNK_BYTES // ((mat.itemsize + 16) * mat.shape[1]))
+    if row.size <= gather:
+        return _row_sims(mat[row], Q if qrow is None else Q[qrow])
+    if qrow is None:
+        qrow = np.arange(row.size)
+    sims = np.empty(row.size)
+    for s in range(0, row.size, gather):
+        part = slice(s, s + gather)
+        sims[part] = _row_sims(mat[row[part]], Q[qrow[part]])
+    return sims
+
+
+def _ahead(ids, row, sims, gid, gsim) -> np.ndarray:
+    """True where (sims, ids[row]) comes before (gsim, gid) in the
+    (similarity desc, id asc) order."""
+    return (sims > gsim) | ((sims == gsim) & (ids[row] < gid))
+
+
+def _join(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
+               gt_rows: np.ndarray | None = None):
     """Exact top-p rows of ``mat`` for every query row: shortlist, rescore.
 
-    Returns (rows, sims), both (B, min(p, N)), ordered per query by
-    similarity descending, ties broken by ascending id.  Every similarity
-    returned comes from :func:`_row_sims`; BLAS only picks which rows get
-    rescored (the shortlist-then-rerank pattern of FAISS, Johnson, Douze,
-    Jegou 2017, kept exact):
+    Returns (rows, sims, ranks).  rows and sims are (B, min(p, N)),
+    ordered per query by similarity descending, ties broken by ascending
+    id.  Every similarity returned comes from :func:`_row_sims`; BLAS only
+    picks which rows get rescored (the shortlist-then-rerank pattern of
+    FAISS, Johnson, Douze, Jegou 2017, kept exact):
 
-    1. ``b = Q @ mat.T`` with BLAS (:func:`_blas_sims`, single-threaded
-       row blocks), in query chunks whose (chunk, N) block stays under
-       ``_CHUNK_BYTES``.
+    1. ``b = Q @ mat.T`` with BLAS in ``mat``'s dtype (:func:`_blas_sims`,
+       single-threaded row blocks), in query chunks whose (chunk, N) block
+       stays under ``_CHUNK_BYTES``.
     2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
-       p-th largest ``b`` and ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL)
-       * |q|``.  BLAS and einsum are each within ``gamma_d * |row| * |q|``
-       of the exact dot product, so ``delta`` bounds ``|b - einsum|``
-       (gamma_{d+1} in place of gamma_d absorbs the rounding of the
-       threshold itself and of the measured norms).  A dropped row then
-       has ``einsum < t - delta``, strictly below the einsum of each of
-       the p rows with ``b >= t``, so it cannot reach the top p.
-    3. Rescore only the kept rows with :func:`_row_sims`.
-    4. Order the kept rows alone by (similarity desc, id asc).
+       p-th largest ``b`` and ``delta`` (:func:`_margin`, module
+       docstring) bounds ``|b - einsum|``; the threshold is rounded down
+       when cast to ``mat``'s dtype.  A dropped row then has ``einsum <
+       t - delta``, strictly below the einsum of each of the p rows with
+       ``b >= t``, so it cannot reach the top p.  Candidates are counted
+       before they are listed: when p = 1 and every query keeps one row,
+       that row is the BLAS argmax and no index list is built.
+    3. Rescore only the kept rows with :func:`_row_sims`, and order them
+       alone by (similarity desc, id asc) where a query kept several.
+
+    ``ranks`` is None unless ``gt_rows`` (p = 1 only) gives one row per
+    query; then it holds that row's 1-based rank in the same order, found
+    from the same BLAS block (:func:`_ranks`).
 
     Preconditions: rows of ``mat`` are unit norm within ``_NORM_TOL``
     (true of every subset of a :class:`Store`); query norms are taken as
@@ -425,41 +516,91 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray,
     N, d = mat.shape
     if N == 0:
         raise ValueError("cannot scan an empty scope")
+    if gt_rows is not None and p != 1:
+        raise ValueError("ranks are only computed for p = 1")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("bd,bd->b", queries, queries))
-    if not np.isfinite(qnorms).all():
-        raise ValueError("query embeddings must be finite")
-    u = 2.0 ** -53
-    gamma = (d + 1) * u / (1.0 - (d + 1) * u)
-    widths = 4.0 * gamma * (1.0 + _NORM_TOL) * qnorms  # 2 * delta per query
+    coef, floor, qmax = _margin(mat.dtype, d)
+    if not qnorms.max(initial=0.0) < qmax:  # also false on NaN
+        raise ValueError("query embeddings must be finite (and of norm below "
+                         f"{qmax:.3g} for {mat.dtype} rows)")
+    widths = 2.0 * coef * qnorms + 2.0 * floor  # 2 * delta per query
     keep = min(p, N)
-    B = queries.shape[0]
-    out_rows = np.empty((B, keep), dtype=np.intp)
-    out_sims = np.empty((B, keep))
-    step = max(1, _CHUNK_BYTES // (8 * N))
-    gather = max(1, _CHUNK_BYTES // (16 * d))  # rows of mat[row] plus Q[qrow]
-    for lo in range(0, B, step):
+    if queries.shape[0] == 0:
+        return (np.empty((0, keep), dtype=np.intp), np.empty((0, keep)),
+                None if gt_rows is None else np.empty(0, dtype=np.int64))
+    step = max(1, _CHUNK_BYTES // (mat.itemsize * N))
+    out_rows, out_sims, out_ranks = [], [], []
+    for lo in range(0, queries.shape[0], step):
         Q = queries[lo : lo + step]
+        width = widths[lo : lo + step]
         b = _blas_sims(mat, Q)
         if keep == 1:
-            t = b.max(axis=1)
+            amax = b.argmax(axis=1)
+            t = b[np.arange(Q.shape[0]), amax]
         else:
             t = np.partition(b, N - keep, axis=1)[:, N - keep]
-        # row-major: qrow ascends, and every query keeps >= ``keep`` rows
-        qrow, row = np.nonzero(b >= (t - widths[lo : lo + step])[:, None])
+        thr = _outward(t - width, mat.dtype, -np.inf)
+        mask = b >= thr[:, None]
+        if keep == 1 and np.count_nonzero(mask) == Q.shape[0]:
+            qrow, row = None, amax
+        else:
+            # row-major: qrow ascends, and every query keeps >= ``keep`` rows
+            # (1-D flatnonzero runs far faster than a 2-D nonzero)
+            qrow, row = np.divmod(np.flatnonzero(mask), N)
+        del mask
+        sims = _rescore(mat, row, Q, qrow)
+        if gt_rows is not None:
+            out_ranks.append(_ranks(mat, ids, Q, b, width / 2.0, t, thr,
+                                    gt_rows[lo : lo + step], qrow, row, sims))
         del b
-        sims = np.empty(row.size)
-        for s in range(0, row.size, gather):
-            part = slice(s, s + gather)
-            sims[part] = _row_sims(mat[row[part]], Q[qrow[part]])
-        if keep > 1 or row.size > Q.shape[0]:
+        if row.size > Q.shape[0]:
             order = np.lexsort((ids[row], -sims, qrow))
             starts = np.searchsorted(qrow, np.arange(Q.shape[0]))
             pick = order[starts[:, None] + np.arange(keep)]
             row, sims = row[pick], sims[pick]
-        out_rows[lo : lo + step] = row.reshape(-1, keep)
-        out_sims[lo : lo + step] = sims.reshape(-1, keep)
-    return out_rows, out_sims
+        out_rows.append(row.reshape(-1, keep))
+        out_sims.append(sims.reshape(-1, keep))
+    ranks = _join(out_ranks) if out_ranks else None
+    return _join(out_rows), _join(out_sims), ranks
+
+
+def _ranks(mat, ids, Q, b, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
+    """1-based rank of row ``g[j]`` for query ``Q[j]`` in the (einsum
+    similarity desc, id asc) order, from one chunk of :func:`_exact_top`.
+
+    ``b`` is the chunk's BLAS block, ``t`` each query's BLAS maximum,
+    ``thr`` its shortlist threshold and (qrow, row, sims) the rescored
+    shortlist (``qrow`` None: one row per query, in order).  With ``gsim``
+    the einsum of the ground-truth row, a row with ``b > hi >= gsim +
+    delta`` is ahead (its einsum exceeds gsim), a row with ``b < lo <=
+    gsim - delta`` is behind, and rows in [lo, hi] are rescored.  Where
+    ``t <= hi`` and ``lo >= thr``, nothing is ahead outright and [lo, hi]
+    lies inside the shortlist, so the shortlist alone settles the rank;
+    only the other queries pay for one more pass over their row of ``b``,
+    which lists the rows at or above ``lo``.
+    """
+    if qrow is None:
+        qrow = np.arange(Q.shape[0])
+    gsim = _row_sims(mat[g], Q)
+    gid = ids[g]
+    hi = _outward(gsim + delta, mat.dtype, np.inf)
+    lo = _outward(gsim - delta, mat.dtype, -np.inf)
+    ahead = _ahead(ids, row, sims, gid[qrow], gsim[qrow])
+    ranks = 1 + np.bincount(qrow[ahead], minlength=Q.shape[0])
+    need = np.flatnonzero((t > hi) | (lo < thr))
+    if need.size:
+        bn = b[need]
+        at = np.flatnonzero(bn >= lo[need, None])
+        bq, brow = np.divmod(at, b.shape[1])
+        up = bn.ravel()[at] > hi[need][bq]
+        sure = np.bincount(bq[up], minlength=need.size)
+        bq, brow = bq[~up], brow[~up]
+        bsims = _rescore(mat, brow, Q[need], bq)
+        q = need[bq]
+        band = _ahead(ids, brow, bsims, gid[q], gsim[q])
+        ranks[need] = 1 + sure + np.bincount(bq[band], minlength=need.size)
+    return ranks
 
 
 def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
@@ -469,15 +610,28 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
     Returns (best_index, best_sim) per query, ties broken by ascending id.
     This is :func:`top_matches` with p=1 on a batch: both run
     :func:`_exact_top`, so the results agree bit for bit.  Candidates come
-    from a single-threaded BLAS product per chunk of queries (at most
-    ``_CHUNK_BYTES`` = 16 MB of similarities per chunk); only rows within
-    ``2*delta`` of each query's BLAS maximum are rescored with
-    :func:`_row_sims`, where ``delta = 2 * gamma_{d+1} * (1 + _NORM_TOL) *
-    |q|`` bounds the BLAS vs einsum gap.  Rows must be unit norm within
+    from a single-threaded BLAS product in the rows' dtype per chunk of
+    queries (at most ``_CHUNK_BYTES`` = 16 MB of similarities per chunk);
+    only rows within ``2*delta`` of each query's BLAS maximum are rescored
+    in float64 with :func:`_row_sims`, where ``delta`` (module docstring)
+    bounds the BLAS vs einsum gap.  Rows must be unit norm within
     ``_NORM_TOL``; query norms are taken as measured.
     """
-    rows, sims = _exact_top(embeddings, ids, queries, 1)
+    rows, sims, _ = _exact_top(embeddings, ids, queries, 1)
     return rows[:, 0], sims[:, 0]
+
+
+def scan_ranks(embeddings: np.ndarray, ids: np.ndarray, queries: np.ndarray,
+               gt_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`scan_top1` plus the 1-based rank of ``gt_rows[j]`` for query j.
+
+    The rank is taken in the same (similarity desc, id asc) order, over the
+    float64 einsum similarities, by the same kernel pass that finds the
+    argmax (:func:`_exact_top`).
+    """
+    rows, sims, ranks = _exact_top(embeddings, ids, queries, 1,
+                                   np.asarray(gt_rows, dtype=np.intp))
+    return rows[:, 0], sims[:, 0], ranks
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +649,12 @@ def _record_dtype(d: int, key_bytes: int) -> np.dtype:
     )
 
 
+def _packed_keys(store: Store) -> np.ndarray:
+    """(N, ceil(n/8)) key bits of every row, packed LSB-first, zero padded."""
+    table = np.packbits(store.cluster_keys, axis=1, bitorder="little")
+    return table[store.clusters]
+
+
 def save_store(store: Store, path) -> None:
     """Serialise a preprocessed store; the write is atomic (temp + rename)."""
     if not store.clustered:
@@ -510,9 +670,8 @@ def save_store(store: Store, path) -> None:
     records = np.empty(len(store), dtype=_record_dtype(store.d, key_bytes))
     records["id"] = store.ids
     records["cluster"] = store.clusters.astype(np.uint16)
-    keys = store.cluster_keys[store.clusters]
-    records["key"] = np.packbits(keys, axis=1, bitorder="little")
-    records["emb"] = store.embeddings.astype(np.float32)
+    records["key"] = _packed_keys(store)
+    records["emb"] = store.embeddings
     body = head + blob + records.tobytes()
     checksum = _checksum(body)
     directory = os.path.dirname(os.fspath(path)) or "."
@@ -574,14 +733,22 @@ def load_store(path, expect_d: int | None = None) -> Store:
             f"{path}: size {len(raw)} != expected {expected} for N={count}"
         )
     records = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+    ids = records["id"].copy()
+    clusters = records["cluster"].astype(np.int32)
+    keys = records["key"].copy()
+    embeddings = records["emb"].astype(np.float32)  # native order, contiguous
+    del records, raw
     store = Store(
-        ids=records["id"].copy(),
-        embeddings=records["emb"].astype(np.float64),
-        clusters=records["cluster"].astype(np.int32),
+        ids=ids,
+        embeddings=embeddings,
+        clusters=clusters,
         spec=spec,
         seed=None if seed is None else int(seed),
     )
-    keys = np.unpackbits(records["key"], axis=1, count=spec.n, bitorder="little")
-    if not np.array_equal(keys, store.cluster_keys[store.clusters]):
+    # compare packed bytes; the last byte's padding bits carry no key bit
+    pad = -spec.n % 8
+    if pad:
+        keys[:, -1] &= 0xFF >> pad
+    if not np.array_equal(keys, _packed_keys(store)):
         raise StoreFormatError(f"{path}: stored keys disagree with cluster codes")
     return store

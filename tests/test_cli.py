@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -63,6 +64,21 @@ def test_build_summary_and_rebuild_identical(tmp_path, capsys):
     code, _, _ = _run(capsys, argv + ["--store", str(s2)])
     assert code == 0
     assert s1.read_bytes() == s2.read_bytes()
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["N=300", "d=16", "--k", "6", "--n", "32", "--seed", "5"],
+     "bd842896411607a062563d4736d33c99ddaac4dd0b43077321630434f529b3bd"),
+    (["N=500", "d=8", "--k", "10", "--n", "100", "--seed", "3"],
+     "d6e6eac2b0c32fca02c009adac25366677d661f440f62068451abb31777dd640"),
+])
+def test_build_file_bytes_pinned(tmp_path, capsys, argv, sha256):
+    """Store files are pinned byte for byte (format v1), whatever dtype the
+    rows are held in; the hashes were taken from float64-held rows."""
+    path = tmp_path / "s.drew"
+    code, _, _ = _run(capsys, ["build", "--synthetic", *argv, "--store", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_build_from_csv(tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from drew.store import (
     ingest_csv,
     load_store,
     save_store,
+    scan_ranks,
     scan_top1,
     top_matches,
 )
@@ -197,9 +200,36 @@ def _near_tie_store(seed: int, count: int = 3000, d: int = 64):
     return store, base
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_top_matches_exact_under_near_ties(seed):
-    store, base = _near_tie_store(seed)
+def _ulp_tie_store(seed: int, dtype, count: int = 3000, d: int = 64):
+    """A float32-grid unit vector repeated ``count`` times, two coordinates
+    per row moved by one float32 ulp, ids shuffled; clustered into 8
+    clusters and held as ``dtype``.  Returns the store and two queries: the
+    base vector and a unit vector orthogonal to it (off the float32 grid).
+
+    Similarities differ by about 1e-9 (1e-10 for the orthogonal query,
+    whose products cancel), within the float32 BLAS error, so on float32
+    rows only a correct float32 margin keeps the exact einsum winners.
+    """
+    rng = substream(seed, "ulp-ties")
+    base = rng.standard_normal(d)
+    base = (base / np.linalg.norm(base)).astype(np.float32)
+    emb = np.repeat(base[None, :], count, axis=0)
+    rows = np.arange(count)
+    for _ in range(2):
+        cols = rng.integers(0, d, size=count)
+        toward = np.where(rng.random(count) < 0.5, np.inf, -np.inf)
+        emb[rows, cols] = np.nextafter(emb[rows, cols], toward.astype(np.float32))
+    ids = rng.permutation(count).astype(np.uint64) * 7 + 3
+    spec = ecc.construct_code(3, 8, 0.1)
+    store = assign_clusters(Store(ids, emb.astype(dtype)), 3, seed=seed, spec=spec)
+    assert store.embeddings.dtype == dtype
+    base = base.astype(np.float64)
+    ortho = rng.standard_normal(d)
+    ortho -= (ortho @ base) * base
+    return store, np.vstack([base, ortho / np.linalg.norm(ortho)])
+
+
+def _assert_top_matches_exact(store, base):
     cluster = int(store.clusters[0])
     members = store.cluster_members(cluster)
     scopes = [
@@ -214,16 +244,83 @@ def test_top_matches_exact_under_near_ties(seed):
             assert np.array_equal(_bits([s for _, s in got]), _bits(ref_sims))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_scan_top1_exact_under_near_ties(seed):
-    store, base = _near_tie_store(seed)
-    rng = substream(seed, "near-tie-queries")
-    queries = np.vstack([base, store.embeddings[rng.integers(0, len(store), 15)]])
+def _assert_scan_top1_exact(store, queries):
     idx, sims = scan_top1(store.embeddings, store.ids, queries)
     for j, q in enumerate(queries):
         ref_ids, ref_sims = _reference_top(store.embeddings, store.ids, q, 1)
         assert store.ids[idx[j]] == ref_ids[0]
         assert _bits(sims[j]) == _bits(ref_sims[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_matches_exact_under_near_ties(seed):
+    store, base = _near_tie_store(seed)
+    _assert_top_matches_exact(store, base)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_top1_exact_under_near_ties(seed):
+    store, base = _near_tie_store(seed)
+    rng = substream(seed, "near-tie-queries")
+    queries = np.vstack([base, store.embeddings[rng.integers(0, len(store), 15)]])
+    _assert_scan_top1_exact(store, queries)
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                                 ids=["float32", "float64"])
+
+
+@DTYPES
+@pytest.mark.parametrize("seed", range(4))
+def test_top_matches_exact_under_ulp_ties(dtype, seed):
+    store, queries = _ulp_tie_store(seed, dtype)
+    for q in queries:
+        _assert_top_matches_exact(store, q)
+
+
+@DTYPES
+@pytest.mark.parametrize("seed", range(4))
+def test_scan_top1_exact_under_ulp_ties(dtype, seed):
+    store, queries = _ulp_tie_store(seed, dtype)
+    rng = substream(seed, "ulp-tie-queries")
+    rows = store.embeddings[rng.integers(0, len(store), 14)].astype(np.float64)
+    _assert_scan_top1_exact(store, np.vstack([queries, rows]))
+
+
+def _assert_ranks_exact(store, queries, gt):
+    """scan_ranks against a full einsum + lexsort of the whole store."""
+    idx, sims, ranks = scan_ranks(store.embeddings, store.ids, queries, gt)
+    for j, q in enumerate(queries):
+        ref = _row_sims(store.embeddings, q)
+        order = np.lexsort((store.ids, -ref))
+        assert idx[j] == order[0]
+        assert _bits(sims[j]) == _bits(ref[order[0]])
+        assert ranks[j] == np.flatnonzero(order == gt[j])[0] + 1
+
+
+@DTYPES
+@pytest.mark.parametrize("seed", range(4))
+def test_scan_ranks_exact_under_ulp_ties(dtype, seed):
+    store, queries = _ulp_tie_store(seed, dtype)
+    rng = substream(seed, "ulp-tie-ranks")
+    gt = rng.integers(0, len(store), 24)
+    queries = np.vstack([np.repeat(queries, 4, axis=0),
+                         store.embeddings[gt[8:]].astype(np.float64)])
+    _assert_ranks_exact(store, queries, gt)
+
+
+@DTYPES
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3, 1.0])
+def test_scan_ranks_exact_on_spread_store(dtype, sigma):
+    """Ground-truth rows from first place to deep in the store: the rank
+    comes from the argmax shortlist or from the extra band pass."""
+    store = synthetic_store(4000, 64, seed=11)
+    store = Store(store.ids, store.embeddings.astype(dtype))
+    rng = substream(int(sigma * 100), "spread-ranks")
+    gt = rng.integers(0, len(store), 40)
+    queries = store.embeddings[gt] + sigma * rng.standard_normal((40, 64))
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    _assert_ranks_exact(store, queries, gt)
 
 
 def test_chunked_scans_equal_one_pass(monkeypatch):
@@ -239,6 +336,14 @@ def test_chunked_scans_equal_one_pass(monkeypatch):
     assert np.array_equal(idx, one_idx)
     assert np.array_equal(_bits(sims), _bits(one_sims))
     assert top_matches(store, FULL, base, p=len(store)) == one_all
+
+
+def test_empty_query_batch():
+    store = synthetic_store(50, 8, seed=2)
+    idx, sims = scan_top1(store.embeddings, store.ids, np.empty((0, 8)))
+    assert idx.shape == (0,) and sims.shape == (0,)
+    _, _, ranks = scan_ranks(store.embeddings, store.ids, np.empty((0, 8)), [])
+    assert ranks.shape == (0,)
 
 
 class _MatmulLog:
@@ -303,6 +408,54 @@ def test_save_load_roundtrip(tmp_path, small_store):
     assert np.array_equal(again.clusters, small_store.clusters)
     assert again.spec == small_store.spec
     assert again.seed == small_store.seed
+
+
+def test_producers_hold_float32_rows(tmp_path, small_store):
+    assert _raw().embeddings.dtype == np.float32
+    assert synthetic_store(10, 4, seed=1).embeddings.dtype == np.float32
+    path = tmp_path / "s.drew"
+    save_store(small_store, path)
+    loaded = load_store(path).embeddings
+    assert loaded.dtype == np.float32 and loaded.flags.c_contiguous
+    rows = small_store.embeddings.astype(np.float64)
+    assert Store(small_store.ids, rows).embeddings.dtype == np.float64
+
+
+def _key_bytes_at(raw: bytes, store) -> tuple[int, int]:
+    """(offset of record 0's key bytes, record size) in a store file."""
+    blob_len = struct.unpack_from("<HIIQI", raw, 8)[-1]
+    rec = store_mod._record_dtype(store.d, (store.spec.n + 7) // 8)
+    return 8 + 22 + blob_len + rec.fields["key"][1], rec.itemsize
+
+
+def _with_checksum(raw: bytearray) -> bytes:
+    raw[-8:] = hashlib.sha256(bytes(raw[:-8])).digest()[:8]
+    return bytes(raw)
+
+
+def test_load_key_check_ignores_padding_only(tmp_path, small_store):
+    """Set padding bits in each record's last key byte still load; one
+    flipped key bit is rejected."""
+    assert small_store.spec.n % 8
+    path = tmp_path / "s.drew"
+    save_store(small_store, path)
+    raw = bytearray(path.read_bytes())
+    at, size = _key_bytes_at(raw, small_store)
+    last = at + (small_store.spec.n + 7) // 8 - 1
+    padded = bytearray(raw)
+    for i in range(len(small_store)):
+        padded[last + i * size] |= 0xFF << (small_store.spec.n % 8) & 0xFF
+    p = tmp_path / "padded.drew"
+    p.write_bytes(_with_checksum(padded))
+    again = load_store(p)
+    assert np.array_equal(again.embeddings, small_store.embeddings)
+    assert np.array_equal(again.clusters, small_store.clusters)
+    for byte, bit in ((at + 5 * size + 3, 0x01), (last + 7 * size, 0x01)):
+        flipped = bytearray(raw)
+        flipped[byte] ^= bit
+        p.write_bytes(_with_checksum(flipped))
+        with pytest.raises(StoreFormatError, match="keys"):
+            load_store(p)
 
 
 def test_save_rejects_unclustered(tmp_path):
