@@ -5,16 +5,20 @@ Run:  python3 benchmarks/bench_scan.py [--count 100000] [--d 64]
 Builds a synthetic store (ids 0..count-1, k=10 clusters) and times, per
 query, the full-store ``top_matches`` at p=1, ``top_matches`` on the
 cluster whose size is closest to 99 rows, full-store ``scan_top1`` at
-batch sizes 1, 4, 16 and 41, and the evaluation's rank scan of 150
+batch sizes 1, 4, 16, 41 and 150, and the evaluation's rank scan of 150
 queries.  Each row is the median of 7 passes with the [min-max] range; a
-pass runs the same fixed queries.  Each row ends with a digest of every
-returned id, similarity and rank, so two checkouts that print the same
-digest gave bit-identical answers.
+pass runs the same fixed queries.  Each row then gives the CPU ticks
+(user + system, read from ``/proc/self/task``; "-" where that is absent)
+that threads other than the caller accrued during its passes, which stays
+0 while every BLAS product runs on the calling thread, and a digest of
+every returned id, similarity and rank, so two checkouts that print the
+same digest gave bit-identical answers.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import time
 from types import SimpleNamespace
 
@@ -63,16 +67,37 @@ def _digest(out) -> str:
     return h.hexdigest()[:12]
 
 
-def _time(fn, queries: int) -> tuple[float, float, float, object]:
-    """Per-query microseconds of ``PASSES`` passes: (median, min, max), and
-    the last pass's result."""
+def _worker_ticks() -> int | None:
+    """CPU ticks accrued so far by every thread but the calling one, or
+    None without ``/proc/self/task``."""
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended meanwhile
+            continue
+        total += int(fields[11]) + int(fields[12])
+    return total
+
+
+def _time(fn, queries: int) -> tuple[float, float, float, object, int | None]:
+    """Per-query microseconds of ``PASSES`` passes: (median, min, max), the
+    last pass's result, and the ticks other threads accrued meanwhile."""
     out = fn()  # warm-up
     times = []
+    ticks = _worker_ticks()
     for _ in range(PASSES):
         t0 = time.perf_counter()
         out = fn()
         times.append((time.perf_counter() - t0) / queries * 1e6)
-    return float(np.median(times)), min(times), max(times), out
+    if ticks is not None:
+        ticks = _worker_ticks() - ticks
+    return float(np.median(times)), min(times), max(times), out, ticks
 
 
 def main() -> None:
@@ -100,7 +125,7 @@ def main() -> None:
         (f"top_matches cluster p=1 ({int(sizes[cluster])} rows)",
          lambda: [top_matches(store, cluster, q, p=1) for q in routed], len(routed)),
     ]
-    for B in (1, 4, 16, 41):
+    for B in (1, 4, 16, 41, 150):
         fn, n = scan_batches(B)
         cases.append((f"scan_top1 FULL B={B}", fn, n))
     cases.append(("eval rank scan, 150 queries",
@@ -108,10 +133,11 @@ def main() -> None:
 
     print(f"store: N={len(store)} d={store.d} dtype={store.embeddings.dtype}")
     print(f"per-query us, median of {PASSES} passes, [min-max] in brackets, "
-          "output digest")
+          "ticks of other threads, output digest")
     for name, fn, n in cases:
-        med, lo, hi, out = _time(fn, n)
-        print(f"{name:40s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  {_digest(out)}")
+        med, lo, hi, out, ticks = _time(fn, n)
+        print(f"{name:40s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  "
+              f"{'-' if ticks is None else ticks:>5}  {_digest(out)}")
 
 
 if __name__ == "__main__":

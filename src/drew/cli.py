@@ -235,21 +235,32 @@ def cmd_build(args) -> int:
 # query
 # ---------------------------------------------------------------------------
 
+#: JSON values accepted as ``query_id`` and ``ground_truth_id``.
+_SCALARS = (str, int, float, bool, type(None))
+
+
 def _parse_key(raw, n: int) -> np.ndarray:
     if isinstance(raw, str):
         if len(raw) != n or set(raw) - {"0", "1"}:
             raise ValueError(f"key must be {n} characters of 0/1")
         return np.frombuffer(raw.encode(), dtype=np.uint8) - ord("0")
-    bits = np.asarray(raw, dtype=np.int64)
-    if bits.shape != (n,) or not np.isin(bits, (0, 1)).all():
+    # exact 0/1 integers only: 0.7 or true must not pass as a bit
+    if (not isinstance(raw, list) or len(raw) != n
+            or any(type(b) is not int or b not in (0, 1) for b in raw)):
         raise ValueError(f"key must be {n} bits")
-    return bits.astype(np.uint8)
+    return np.array(raw, dtype=np.uint8)
 
 
 def _parse_query_doc(doc, store: Store, naive: bool):
     if not isinstance(doc, dict):
         raise ValueError("query line must be a JSON object")
-    emb = np.asarray(doc["embedding"], dtype=np.float64)
+    for field in ("query_id", "ground_truth_id"):
+        if not isinstance(doc.get(field), _SCALARS):
+            raise ValueError(f"{field} must be a string, number, boolean or null")
+    try:
+        emb = np.asarray(doc["embedding"], dtype=np.float64)
+    except (TypeError, OverflowError):
+        raise ValueError(f"embedding must be {store.d} finite numbers") from None
     if emb.shape != (store.d,):
         raise ValueError(f"embedding must have dim {store.d}")
     norm = np.linalg.norm(emb)
@@ -288,11 +299,11 @@ def cmd_query(args) -> int:
         qid = i
         try:
             doc = json.loads(line)
-            if isinstance(doc, dict):
+            if isinstance(doc, dict) and isinstance(doc.get("query_id", i), _SCALARS):
                 qid = doc.get("query_id", i)
             parsed.append((qid, *_parse_query_doc(doc, store, args.naive)))
             records.append(None)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
             records.append({"query_id": qid, "error": str(exc)})
             parsed.append(None)
 

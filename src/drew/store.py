@@ -37,8 +37,14 @@ query norm as measured, so ``delta`` bounds the BLAS-vs-einsum gap and no
 row outside the shortlist can reach the top p.  Thresholds are rounded
 outward when they are cast to the rows' dtype.  Results are therefore
 identical to an einsum scan of the whole scope followed by a full
-(similarity desc, id asc) sort.  The BLAS product runs in row blocks small
-enough that BLAS never wakes its worker threads (``_BLAS_MADDS``).
+(similarity desc, id asc) sort.
+
+The BLAS block of a chunk of B queries is laid out (N, B), row-major:
+``mat @ Q.T``.  It is computed by one stacked ``np.matmul`` whose every
+matrix is a block of rows small enough (``_BLAS_MADDS`` multiply-adds per
+product) that BLAS never wakes its worker threads, and per-query maxima,
+threshold compares and candidate lists run over a view of r whole rows per
+line, so numpy's loops span long contiguous runs (:func:`_blas_sims`).
 
 The evaluation's scan (:func:`scan_ranks`) also returns each query's
 ground-truth rank under the same order, from the same BLAS block: with
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -400,7 +407,9 @@ def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 #: rescore gather; scans of many queries are split to stay under it.
 _CHUNK_BYTES = 16 << 20
 
-#: Multiply-adds per BLAS call of the candidate product.  OpenBLAS runs a
+#: Multiply-adds per BLAS product of the candidate scan: the limit holds
+#: for each matrix of the stacked ``np.matmul`` in :func:`_blas_sims`,
+#: since numpy hands BLAS one product per stacked matrix.  OpenBLAS runs a
 #: product this small on the calling thread (OpenBLAS 0.3.31 starts its
 #: worker threads somewhere above 2**18).  A threaded call is a lottery:
 #: while the OS keeps a worker on the caller's own CPU, which it may do for
@@ -429,11 +438,26 @@ def _margin(dtype: np.dtype, d: int) -> tuple[float, float, float]:
     return coef, floor, float(info.max) / 4.0
 
 
-def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """``Q @ mat.T`` with BLAS in ``mat``'s dtype, one block of rows per call.
+def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
+    """``mat @ Q.T`` as an (N, B) block, with BLAS in ``mat``'s dtype.
 
-    ``Q`` is rounded to ``mat``'s dtype.  Each call covers at most
-    ``_BLAS_MADDS`` multiply-adds, so it runs on the calling thread.
+    ``Q`` is rounded to ``mat``'s dtype and transposed once into a
+    contiguous (d, B) block ``Qt``.  With ``r = _BLAS_MADDS // (B * d)``
+    rows per product, the rows run as one stacked ``np.matmul`` of
+    (N // r, r, d) by (d, B), plus one call for the remaining rows; numpy
+    issues one BLAS product per stacked matrix, so none exceeds
+    ``_BLAS_MADDS`` multiply-adds and each runs on the calling thread,
+    while the per-call cost of a Python-level loop of small products is
+    paid once per chunk.
+
+    Returns ``(b, r)``: ``b`` has a multiple of ``r`` rows, the first N of
+    them the similarities and any further ones -inf, so that
+    ``b.reshape(-1, r * B)`` views it as lines of ``r`` whole rows, over
+    which per-query reductions and compares run in long contiguous loops
+    rather than B elements at a time.  A scan that fits one product
+    returns its (N, B) block as the transpose of a contiguous (B, N) one,
+    with ``r = 1``: per-query argmax then runs along contiguous memory, so
+    small cluster scans cost no more than a query-major block did.
     Summation order may differ from one block size to the next;
     :func:`_exact_top` only needs each value within ``gamma_d * |row| *
     |q|`` of the exact dot product of the rounded query, which any order is.
@@ -441,13 +465,17 @@ def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q = Q.astype(mat.dtype, copy=False)
     B, d = Q.shape
     N = mat.shape[0]
-    rows = max(1, _BLAS_MADDS // (B * d))
-    if rows >= N:
-        return np.matmul(Q, mat.T)
-    b = np.empty((B, N), dtype=mat.dtype)
-    for lo in range(0, N, rows):
-        np.matmul(Q, mat[lo : lo + rows].T, out=b[:, lo : lo + rows])
-    return b
+    r = max(1, _BLAS_MADDS // (B * d))
+    if r >= N:  # one product, stored query-major: per-query argmax is contiguous
+        return np.matmul(Q, mat.T).T, 1
+    Qt = np.ascontiguousarray(Q.T)
+    stacked = N - N % r
+    b = np.empty((stacked + (r if stacked < N else 0), B), dtype=mat.dtype)
+    np.matmul(mat[:stacked].reshape(-1, r, d), Qt, out=b[:stacked].reshape(-1, r, B))
+    if stacked < N:
+        np.matmul(mat[stacked:], Qt, out=b[stacked:N])
+        b[N:] = -np.inf
+    return b, r
 
 
 def _outward(x: np.ndarray, dtype: np.dtype, toward: float) -> np.ndarray:
@@ -491,19 +519,21 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     picks which rows get rescored (the shortlist-then-rerank pattern of
     FAISS, Johnson, Douze, Jegou 2017, kept exact):
 
-    1. ``b = Q @ mat.T`` with BLAS in ``mat``'s dtype (:func:`_blas_sims`,
-       single-threaded row blocks), in query chunks whose (chunk, N) block
-       stays under ``_CHUNK_BYTES``.
+    1. ``b = mat @ Q.T`` with BLAS in ``mat``'s dtype (:func:`_blas_sims`,
+       one stacked call of single-threaded row blocks), in query chunks
+       whose (N, chunk) block stays under ``_CHUNK_BYTES``.
     2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
        p-th largest ``b`` and ``delta`` (:func:`_margin`, module
        docstring) bounds ``|b - einsum|``; the threshold is rounded down
        when cast to ``mat``'s dtype.  A dropped row then has ``einsum <
        t - delta``, strictly below the einsum of each of the p rows with
-       ``b >= t``, so it cannot reach the top p.  Candidates are counted
-       before they are listed: when p = 1 and every query keeps one row,
-       that row is the BLAS argmax and no index list is built.
+       ``b >= t``, so it cannot reach the top p.  When the chunk fits one
+       BLAS product (a cluster scan), candidates are counted before they
+       are listed: when p = 1 and every query keeps one row, that row is
+       the BLAS argmax and no index list is built.
     3. Rescore only the kept rows with :func:`_row_sims`, and order them
-       alone by (similarity desc, id asc) where a query kept several.
+       by (query, similarity desc, id asc) unless each query kept only
+       its argmax.
 
     ``ranks`` is None unless ``gt_rows`` (p = 1 only) gives one row per
     query; then it holds that row's 1-based rank in the same order, found
@@ -521,7 +551,7 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     qnorms = np.sqrt(np.einsum("bd,bd->b", queries, queries))
     coef, floor, qmax = _margin(mat.dtype, d)
-    if not qnorms.max(initial=0.0) < qmax:  # also false on NaN
+    if not np.maximum.reduce(qnorms, initial=0.0) < qmax:  # also false on NaN
         raise ValueError("query embeddings must be finite (and of norm below "
                          f"{qmax:.3g} for {mat.dtype} rows)")
     widths = 2.0 * coef * qnorms + 2.0 * floor  # 2 * delta per query
@@ -533,30 +563,35 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     out_rows, out_sims, out_ranks = [], [], []
     for lo in range(0, queries.shape[0], step):
         Q = queries[lo : lo + step]
+        B = Q.shape[0]
         width = widths[lo : lo + step]
-        b = _blas_sims(mat, Q)
-        if keep == 1:
-            amax = b.argmax(axis=1)
-            t = b[np.arange(Q.shape[0]), amax]
+        b, r = _blas_sims(mat, Q)
+        wide = b if r == 1 else b.reshape(-1, r * B)
+        amax = None
+        if keep > 1:
+            t = np.partition(b[:N], N - keep, axis=0)[N - keep]
+        elif r == 1:  # b is exactly (N, B): argmax finds t and its row
+            amax = b.argmax(axis=0)
+            t = b[amax, np.arange(B)]
         else:
-            t = np.partition(b, N - keep, axis=1)[:, N - keep]
+            t = wide.max(axis=0).reshape(r, B).max(axis=0)
         thr = _outward(t - width, mat.dtype, -np.inf)
-        mask = b >= thr[:, None]
-        if keep == 1 and np.count_nonzero(mask) == Q.shape[0]:
-            qrow, row = None, amax
+        mask = wide >= (thr if r == 1 else np.tile(thr, r))
+        if amax is not None and np.count_nonzero(mask) == B:
+            qrow, row = None, amax  # each query keeps only its argmax
         else:
-            # row-major: qrow ascends, and every query keeps >= ``keep`` rows
+            # row-major over (N, B): rows ascend; every query keeps >= keep
             # (1-D flatnonzero runs far faster than a 2-D nonzero)
-            qrow, row = np.divmod(np.flatnonzero(mask), N)
+            row, qrow = np.divmod(np.flatnonzero(mask), B)
         del mask
         sims = _rescore(mat, row, Q, qrow)
         if gt_rows is not None:
-            out_ranks.append(_ranks(mat, ids, Q, b, width / 2.0, t, thr,
+            out_ranks.append(_ranks(mat, ids, Q, b, r, width / 2.0, t, thr,
                                     gt_rows[lo : lo + step], qrow, row, sims))
-        del b
-        if row.size > Q.shape[0]:
+        del b, wide
+        if qrow is not None:
             order = np.lexsort((ids[row], -sims, qrow))
-            starts = np.searchsorted(qrow, np.arange(Q.shape[0]))
+            starts = np.searchsorted(qrow[order], np.arange(B))
             pick = order[starts[:, None] + np.arange(keep)]
             row, sims = row[pick], sims[pick]
         out_rows.append(row.reshape(-1, keep))
@@ -565,41 +600,42 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     return _join(out_rows), _join(out_sims), ranks
 
 
-def _ranks(mat, ids, Q, b, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
+def _ranks(mat, ids, Q, b, r, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
     """1-based rank of row ``g[j]`` for query ``Q[j]`` in the (einsum
     similarity desc, id asc) order, from one chunk of :func:`_exact_top`.
 
-    ``b`` is the chunk's BLAS block, ``t`` each query's BLAS maximum,
-    ``thr`` its shortlist threshold and (qrow, row, sims) the rescored
-    shortlist (``qrow`` None: one row per query, in order).  With ``gsim``
-    the einsum of the ground-truth row, a row with ``b > hi >= gsim +
-    delta`` is ahead (its einsum exceeds gsim), a row with ``b < lo <=
-    gsim - delta`` is behind, and rows in [lo, hi] are rescored.  Where
-    ``t <= hi`` and ``lo >= thr``, nothing is ahead outright and [lo, hi]
-    lies inside the shortlist, so the shortlist alone settles the rank;
-    only the other queries pay for one more pass over their row of ``b``,
-    which lists the rows at or above ``lo``.
+    ``(b, r)`` is the chunk's BLAS block (:func:`_blas_sims`), ``t`` each
+    query's BLAS maximum, ``thr`` its shortlist threshold and (qrow, row,
+    sims) the rescored shortlist (``qrow`` None: one row per query, in
+    order).  With ``gsim`` the einsum of the ground-truth row, a row with
+    ``b > hi >= gsim + delta`` is ahead (its einsum exceeds gsim), a row
+    with ``b < lo <= gsim - delta`` is behind, and rows in [lo, hi] are
+    rescored.  Where ``t <= hi`` and ``lo >= thr``, nothing is ahead
+    outright and [lo, hi] lies inside the shortlist, so the shortlist alone
+    settles the rank.  The other queries share one more compare over the
+    whole block, which lists their rows at or above ``lo``; the settled
+    queries compare against +inf there and list nothing.
     """
+    B = Q.shape[0]
     if qrow is None:
-        qrow = np.arange(Q.shape[0])
+        qrow = np.arange(B)
     gsim = _row_sims(mat[g], Q)
     gid = ids[g]
     hi = _outward(gsim + delta, mat.dtype, np.inf)
     lo = _outward(gsim - delta, mat.dtype, -np.inf)
     ahead = _ahead(ids, row, sims, gid[qrow], gsim[qrow])
-    ranks = 1 + np.bincount(qrow[ahead], minlength=Q.shape[0])
-    need = np.flatnonzero((t > hi) | (lo < thr))
-    if need.size:
-        bn = b[need]
-        at = np.flatnonzero(bn >= lo[need, None])
-        bq, brow = np.divmod(at, b.shape[1])
-        up = bn.ravel()[at] > hi[need][bq]
-        sure = np.bincount(bq[up], minlength=need.size)
-        bq, brow = bq[~up], brow[~up]
-        bsims = _rescore(mat, brow, Q[need], bq)
-        q = need[bq]
-        band = _ahead(ids, brow, bsims, gid[q], gsim[q])
-        ranks[need] = 1 + sure + np.bincount(bq[band], minlength=need.size)
+    ranks = 1 + np.bincount(qrow[ahead], minlength=B)
+    need = (t > hi) | (lo < thr)
+    if need.any():
+        lo = np.where(need, lo, np.inf)
+        at = np.flatnonzero(b.reshape(-1, r * B) >= np.tile(lo, r))
+        brow, bq = np.divmod(at, B)
+        up = b.ravel()[at] > hi[bq]
+        sure = np.bincount(bq[up], minlength=B)
+        brow, bq = brow[~up], bq[~up]
+        bsims = _rescore(mat, brow, Q, bq)
+        band = _ahead(ids, brow, bsims, gid[bq], gsim[bq])
+        ranks = np.where(need, 1 + sure + np.bincount(bq[band], minlength=B), ranks)
     return ranks
 
 
@@ -610,8 +646,9 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
     Returns (best_index, best_sim) per query, ties broken by ascending id.
     This is :func:`top_matches` with p=1 on a batch: both run
     :func:`_exact_top`, so the results agree bit for bit.  Candidates come
-    from a single-threaded BLAS product in the rows' dtype per chunk of
-    queries (at most ``_CHUNK_BYTES`` = 16 MB of similarities per chunk);
+    from one stacked, single-threaded BLAS product in the rows' dtype per
+    chunk of queries (at most ``_CHUNK_BYTES`` = 16 MB of similarities per
+    chunk);
     only rows within ``2*delta`` of each query's BLAS maximum are rescored
     in float64 with :func:`_row_sims`, where ``delta`` (module docstring)
     bounds the BLAS vs einsum gap.  Rows must be unit norm within
@@ -688,9 +725,43 @@ def save_store(store: Store, path) -> None:
 
 
 def _checksum(data: bytes) -> bytes:
-    import hashlib
-
     return hashlib.sha256(data).digest()[:8]
+
+
+#: Bytes read per chunk by :func:`load_store`.
+_READ_BYTES = 1 << 20
+
+
+def _parse_meta(path, blob: bytes):
+    """(metadata dict, code spec) of a store file's metadata JSON."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StoreFormatError(f"{path}: bad metadata JSON: {exc}") from None
+    return meta, ecc.PolarCodeSpec.from_dict(meta)
+
+
+def _record_layout(blob: bytes, d: int, count: int, nbytes: int) -> np.dtype | None:
+    """Record dtype the metadata ``blob`` gives, if ``count`` such records
+    fill exactly ``nbytes``; None if not, or if the metadata does not parse."""
+    try:
+        dtype = _record_dtype(d, (_parse_meta("", blob)[1].n + 7) // 8)
+    except Exception:  # load_store raises it again, in its turn
+        return None
+    return dtype if count * dtype.itemsize == nbytes else None
+
+
+def _hashed_chunks(fh, nbytes: int, step: int, digest, path):
+    """Read ``nbytes`` of ``fh`` in chunks of at most ``step`` bytes, feed
+    each to ``digest`` and yield it (a view, valid until the next one)."""
+    buf = memoryview(bytearray(min(nbytes, step)))
+    while nbytes:
+        chunk = buf[: min(step, nbytes)]
+        if fh.readinto(chunk) != chunk.nbytes:
+            raise StoreFormatError(f"{path}: file shrank while it was read")
+        digest.update(chunk)
+        yield chunk
+        nbytes -= chunk.nbytes
 
 
 def load_store(path, expect_d: int | None = None) -> Store:
@@ -698,46 +769,65 @@ def load_store(path, expect_d: int | None = None) -> Store:
 
     ``expect_d`` pins the embedding dimension the caller was built for;
     a file with any other dimension is rejected before records are read.
+
+    Records are read ``_READ_BYTES`` at a time straight into the final
+    arrays while the checksum is hashed incrementally, so the whole file is
+    never held in memory.  Nothing read is trusted before the checksum
+    matches: a header or metadata that does not describe the file's size
+    only turns the read into hashing, and the checks after it fail in the
+    same order as they would on the file read whole.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 22 + 8:
-        raise StoreFormatError(f"{path}: truncated header")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise StoreFormatError(f"{path}: bad magic, not a store file")
-    if _checksum(raw[:-8]) != raw[-8:]:
+        size = os.fstat(fh.fileno()).st_size
+        off = len(MAGIC) + 22
+        if size < off + 8:
+            raise StoreFormatError(f"{path}: truncated header")
+        head = fh.read(off)
+        if head[: len(MAGIC)] != MAGIC:
+            raise StoreFormatError(f"{path}: bad magic, not a store file")
+        version, d, k, count, blob_len = struct.unpack_from("<HIIQI", head, len(MAGIC))
+        body = size - 8  # bytes covered by the checksum
+        blob = fh.read(min(blob_len, body - off))
+        digest = hashlib.sha256(head)
+        digest.update(blob)
+        rest = body - off - len(blob)
+        dtype = _record_layout(blob, d, count, rest) if off + blob_len <= body else None
+        if dtype is None:  # only hash; the checks below say what is wrong
+            for _ in _hashed_chunks(fh, rest, _READ_BYTES, digest, path):
+                pass
+        else:
+            ids = np.empty(count, dtype=np.uint64)
+            clusters = np.empty(count, dtype=np.int32)
+            keys = np.empty((count, dtype["key"].shape[0]), dtype=np.uint8)
+            embeddings = np.empty((count, d), dtype=np.float32)
+            step = max(1, _READ_BYTES // dtype.itemsize) * dtype.itemsize
+            lo = 0
+            for chunk in _hashed_chunks(fh, rest, step, digest, path):
+                records = np.frombuffer(chunk, dtype=dtype)
+                hi = lo + records.shape[0]
+                ids[lo:hi] = records["id"]
+                clusters[lo:hi] = records["cluster"]
+                keys[lo:hi] = records["key"]
+                embeddings[lo:hi] = records["emb"]  # native order
+                lo = hi
+        trailer = fh.read(8)
+    if digest.digest()[:8] != trailer:
         raise StoreFormatError(f"{path}: checksum mismatch, file corrupted")
-    off = len(MAGIC)
-    version, d, k, count, blob_len = struct.unpack_from("<HIIQI", raw, off)
-    off += 22
     if version != FORMAT_VERSION:
         raise StoreFormatError(f"{path}: unsupported version {version}")
     if expect_d is not None and d != expect_d:
         raise StoreFormatError(f"{path}: embedding dim {d}, expected {expect_d}")
-    if off + blob_len > len(raw) - 8:
+    if off + blob_len > body:
         raise StoreFormatError(f"{path}: truncated metadata")
-    try:
-        meta = json.loads(raw[off : off + blob_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise StoreFormatError(f"{path}: bad metadata JSON: {exc}") from None
-    off += blob_len
-    spec = ecc.PolarCodeSpec.from_dict(meta)
+    meta, spec = _parse_meta(path, blob)
     if spec.k != k:
         raise StoreFormatError(f"{path}: header k={k} disagrees with spec k={spec.k}")
     seed = meta.get("partition_seed")
-    key_bytes = (spec.n + 7) // 8
-    dtype = _record_dtype(d, key_bytes)
-    expected = off + count * dtype.itemsize + 8
-    if len(raw) != expected:
+    expected = off + blob_len + count * _record_dtype(d, (spec.n + 7) // 8).itemsize + 8
+    if dtype is None:
         raise StoreFormatError(
-            f"{path}: size {len(raw)} != expected {expected} for N={count}"
+            f"{path}: size {size} != expected {expected} for N={count}"
         )
-    records = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-    ids = records["id"].copy()
-    clusters = records["cluster"].astype(np.int32)
-    keys = records["key"].copy()
-    embeddings = records["emb"].astype(np.float32)  # native order, contiguous
-    del records, raw
     store = Store(
         ids=ids,
         embeddings=embeddings,

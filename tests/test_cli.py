@@ -143,6 +143,61 @@ def test_query_roundtrip_with_bad_line(tmp_path, capsys):
     assert docs[3]["query_id"] == 3 and "error" in docs[3]
 
 
+def _hostile_lines(store, good_emb):
+    """(name, line, query_id of its error record) for lines that each must
+    become one error record; sitting second in a file, a line whose own id
+    cannot be read is reported by its index, 1."""
+    n, d = store.spec.n, store.d
+    key = "0" * n
+    deep = "[" * 100_000 + "]" * 100_000
+    huge = "[" + "1" + "0" * 400 + ", 0" * (d - 1) + "]"
+    emb = json.dumps(good_emb)
+    return [
+        ("embedding object",
+         json.dumps({"query_id": "e", "key": key, "embedding": {"a": 1}}), "e"),
+        ("key object",
+         json.dumps({"query_id": "k", "key": {"x": 1}, "embedding": good_emb}), "k"),
+        ("huge integer",
+         '{"query_id": "h", "key": "%s", "embedding": %s}' % (key, huge), "h"),
+        ("deep array", deep, 1),
+        ("deep embedding",
+         '{"query_id": "n", "key": "%s", "embedding": %s}' % (key, deep), 1),
+        ("fractional key",
+         json.dumps({"query_id": "f", "key": [0.7] * n, "embedding": good_emb}), "f"),
+        ("boolean key",
+         json.dumps({"query_id": "b", "key": [True] * n, "embedding": good_emb}), "b"),
+        ("deep query_id",
+         '{"query_id": %s, "key": "%s", "embedding": %s}'
+         % ("[" * 990 + "]" * 990, key, emb), 1),
+    ]
+
+
+def test_query_hostile_lines_fail_per_line(tmp_path, capsys):
+    """Each hostile line yields exactly one error record, the good lines'
+    answers stay byte-identical, and the run exits 0."""
+    store_path = tmp_path / "s.drew"
+    store = _build_store(store_path)
+    good = [_query_line(store, 0, "g0"), _query_line(store, 5, "g1")]
+    qfile = tmp_path / "q.jsonl"
+    qfile.write_text("\n".join(good) + "\n")
+    code, clean, _ = _run(capsys, ["query", "--store", str(store_path),
+                                   "--queries", str(qfile)])
+    assert code == 0
+    clean = clean.splitlines()
+    good_emb = json.loads(good[0])["embedding"]
+    for name, bad, qid in _hostile_lines(store, good_emb):
+        qfile.write_text("\n".join([good[0], bad, good[1]]) + "\n")
+        code, out, _ = _run(capsys, ["query", "--store", str(store_path),
+                                     "--queries", str(qfile)])
+        assert code == 0, name
+        lines = out.splitlines()
+        assert len(lines) == 3, name
+        assert [lines[0], lines[2]] == clean, name
+        doc = json.loads(lines[1])
+        assert set(doc) == {"query_id", "error"}, name
+        assert doc["query_id"] == qid, name
+
+
 def test_query_key_as_bit_list_and_naive(tmp_path, capsys):
     store_path = tmp_path / "s.drew"
     store = _build_store(store_path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -347,7 +348,8 @@ def test_empty_query_batch():
 
 
 class _MatmulLog:
-    """Stand-in for ``drew.store.np`` that logs each ``matmul``'s multiply-adds."""
+    """Stand-in for ``drew.store.np`` that logs the multiply-adds of every
+    BLAS product a ``matmul`` issues: one per stacked matrix of ``a``."""
 
     def __init__(self):
         self.madds = []
@@ -356,14 +358,15 @@ class _MatmulLog:
         return getattr(np, name)
 
     def matmul(self, a, b, **kwargs):
-        self.madds.append(a.shape[0] * a.shape[1] * b.shape[-1])
+        count = int(np.prod(a.shape[:-2]))
+        self.madds += [a.shape[-2] * a.shape[-1] * b.shape[-1]] * count
         return np.matmul(a, b, **kwargs)
 
 
-@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("batch", [1, 16, 41])
 def test_blas_calls_stay_single_threaded_size(monkeypatch, batch):
-    """Every BLAS call of a scan is at most ``_BLAS_MADDS`` multiply-adds
-    (small enough to run on the calling thread), and together the calls
+    """Every BLAS product of a scan is at most ``_BLAS_MADDS`` multiply-adds
+    (small enough to run on the calling thread), and together the products
     cover each (query, row) pair once."""
     store = synthetic_store(5000, 64, seed=4)
     rng = substream(batch, "blas-blocks")
@@ -378,6 +381,41 @@ def test_blas_calls_stay_single_threaded_size(monkeypatch, batch):
     assert len(log.madds) > 1
     assert max(log.madds) <= store_mod._BLAS_MADDS
     assert sum(log.madds) == batch * len(store) * 64
+
+
+def _thread_ticks() -> dict[int, int]:
+    """CPU ticks (user + system) of every thread of this process but the
+    main one, by thread id."""
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended meanwhile
+            continue
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to read per-thread CPU time")
+def test_blas_worker_threads_stay_idle(acceptance_store):
+    """Full-store scans leave BLAS's worker threads idle: no thread but the
+    caller accrues CPU time, at any batch size."""
+    mat, ids = acceptance_store.embeddings, acceptance_store.ids
+    rng = substream(5, "blas-threads")
+    queries = rng.standard_normal((41, mat.shape[1]))
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    before = _thread_ticks()
+    for batch in (1, 4, 41):
+        for _ in range(3):
+            scan_top1(mat, ids, queries[:batch])
+    after = _thread_ticks()
+    busy = {tid: n - before.get(tid, 0) for tid, n in after.items()
+            if n != before.get(tid, 0)}
+    assert busy == {}
 
 
 @pytest.mark.parametrize("d", [8, 33, 64, 128])
@@ -488,6 +526,27 @@ def test_load_rejects_corruption(tmp_path, small_store):
     p.write_bytes(bytes(bad))
     with pytest.raises(StoreFormatError):
         load_store(p)
+
+
+@pytest.mark.parametrize("read_bytes", [1, 1000])
+def test_load_reads_records_in_chunks(tmp_path, small_store, monkeypatch, read_bytes):
+    """Chunked reads of any size give the same store; a header whose record
+    count disagrees with the file's size is rejected after hashing it."""
+    path = tmp_path / "s.drew"
+    save_store(small_store, path)
+    monkeypatch.setattr(store_mod, "_READ_BYTES", read_bytes)
+    again = load_store(path)
+    assert np.array_equal(again.ids, small_store.ids)
+    assert np.array_equal(again.embeddings, small_store.embeddings)
+    assert np.array_equal(again.clusters, small_store.clusters)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, 8 + 10, len(small_store) - 1)
+    path.write_bytes(_with_checksum(bytearray(raw)))
+    with pytest.raises(StoreFormatError, match="size"):
+        load_store(path)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(StoreFormatError, match="checksum"):
+        load_store(path)
 
 
 def test_load_enforces_expected_dimension(tmp_path, small_store):
