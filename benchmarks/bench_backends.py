@@ -1,4 +1,4 @@
-"""Compare decoder backends: batch throughput and single-frame latency.
+"""Time the SC decoder: batch throughput and single-frame latency.
 
 Run:  python3 benchmarks/bench_backends.py [--frames 20000] [--p 0.2]
 """
@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from drew import ecc
-from drew.backends import available_backends, set_backend
 from drew.rng import substream
 
 
@@ -19,7 +18,7 @@ def _workload(spec, frames: int, p: float):
     msgs = rng.integers(0, 1 << spec.k, size=frames)
     keys = ecc.encode_all(spec)[msgs]
     keys = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
-    return msgs, ecc.llr_from_keys(spec, keys, spec.design_p)
+    return ecc.llr_from_keys(spec, keys, spec.design_p)
 
 
 def _spread(times: list[float]) -> tuple[float, float, float]:
@@ -58,34 +57,21 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = ecc.construct_code(args.k, args.n, args.design_p)
-    msgs, llrs = _workload(spec, args.frames, args.p)
+    llrs = _workload(spec, args.frames, args.p)
 
     print(f"spec: k={spec.k} n={spec.n} block_len={spec.block_len} "
           f"design_p={spec.design_p}  frames={args.frames}  p={args.p}")
-    print(f"available backends: {', '.join(available_backends())}")
     print("medians of 7 passes, [min-max] in brackets")
-    header = (f"{'backend':8s} {'batch (s)':>10s} {'frames/s':>26s} "
-              f"{'single (us)':>24s}")
+    header = f"{'batch (s)':>10s} {'frames/s':>26s} {'single (us)':>24s}"
     print(header)
     print("-" * len(header))
 
-    results = {}
-    for name in available_backends():
-        set_backend(name)
-        codes, _, _, _, _ = ecc.decode_batch(spec, llrs)  # warm-up (and jit)
-        results[name] = ecc.codes_to_ints(codes)
-        batch, b_lo, b_hi = _time_batch(spec, llrs)
-        single, s_lo, s_hi = _time_single(spec, llrs)
-        rate = f"{args.frames / batch:.0f} [{args.frames / b_hi:.0f}-{args.frames / b_lo:.0f}]"
-        lat = f"{single * 1e6:.1f} [{s_lo * 1e6:.1f}-{s_hi * 1e6:.1f}]"
-        print(f"{name:8s} {batch:10.4f} {rate:>26s} {lat:>24s}")
-
-    names = list(results)
-    for a, b in zip(names, names[1:]):
-        same = np.array_equal(results[a], results[b])
-        print(f"decoded outputs {a} == {b}: {same}")
-        if not same:
-            raise SystemExit("backend outputs disagree")
+    ecc.decode_batch(spec, llrs)  # warm-up
+    batch, b_lo, b_hi = _time_batch(spec, llrs)
+    single, s_lo, s_hi = _time_single(spec, llrs)
+    rate = f"{args.frames / batch:.0f} [{args.frames / b_hi:.0f}-{args.frames / b_lo:.0f}]"
+    lat = f"{single * 1e6:.1f} [{s_lo * 1e6:.1f}-{s_hi * 1e6:.1f}]"
+    print(f"{batch:10.4f} {rate:>26s} {lat:>24s}")
 
 
 if __name__ == "__main__":

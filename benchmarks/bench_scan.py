@@ -5,8 +5,10 @@ Run:  python3 benchmarks/bench_scan.py [--count 100000] [--d 64]
 Builds a synthetic store (ids 0..count-1, k=10 clusters) and times, per
 query, the full-store ``top_matches`` at p=1, ``top_matches`` on the
 cluster whose size is closest to 99 rows, full-store ``scan_top1`` at
-batch sizes 1, 4, 16, 41 and 150, and the evaluation's rank scan of 150
-queries.  Each row is the median of 7 passes with the [min-max] range; a
+batch sizes 1, 4, 16, 41 and 150, the evaluation's rank scan of 150
+queries, and one ``drew_query`` call at a time (gate ``min-bit`` 5, as
+perfbench's ``lookup``) on 50 routed queries (clean keys) and on 20 that
+fall back to the full store (random keys the gate rejects).  Each row is the median of 7 passes with the [min-max] range; a
 pass runs the same fixed queries.  Each row then gives the CPU ticks
 (user + system, read from ``/proc/self/task``; "-" where that is absent)
 that threads other than the caller accrued during its passes, which stays
@@ -24,7 +26,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from drew.pipeline import preprocess
+from drew import ecc
+from drew.channel import Query
+from drew.pipeline import QueryConfig, drew_query, preprocess
 from drew.rng import substream
 from drew.store import FULL, scan_top1, top_matches
 from drew.synthetic import synthetic_store
@@ -115,6 +119,20 @@ def main() -> None:
     batch, _ = _queries(store, 41 * 8, 0.3, "batch")
     ranked, gt = _queries(store, 150, 0.3, "ranked")
 
+    gate = QueryConfig(reliability_threshold=5.0, reliability_mode="min-bit")
+    embs, rows = _queries(store, 50, 0.3, "lookup-routed")
+    routed_q = [Query(observed_key=store.cluster_keys[store.clusters[r]], observed_embedding=q)
+                for q, r in zip(embs, rows)]
+    keys = substream(2024, "bench-scan/lookup-keys").integers(0, 2, size=(200, store.spec.n))
+    llrs = ecc.llr_from_keys(store.spec, keys, store.spec.design_p)
+    rejected = keys[~ecc.decode_batch(store.spec, llrs, 5.0, "min-bit")[2]][:20]
+    fallback_q = [Query(observed_key=k.astype(np.uint8), observed_embedding=q)
+                  for k, q in zip(rejected, _queries(store, 20, 0.3, "lookup-fallback")[0])]
+
+    for label, qs in (("routed", routed_q), ("fallback", fallback_q)):
+        if any(drew_query(store, q, gate).reliable is not (label == "routed") for q in qs):
+            raise SystemExit(f"a {label} query did not take the {label} path")
+
     def scan_batches(B):
         n = B * max(1, 164 // B)
         return lambda: [scan_top1(mat, ids, batch[lo : lo + B]) for lo in range(0, n, B)], n
@@ -130,6 +148,9 @@ def main() -> None:
         cases.append((f"scan_top1 FULL B={B}", fn, n))
     cases.append(("eval rank scan, 150 queries",
                   lambda: scan_ranks(mat, ids, ranked, gt), len(ranked)))
+    for label, qs in (("routed", routed_q), ("fallback", fallback_q)):
+        cases.append((f"drew_query {label} ({len(qs)} queries)",
+                      lambda qs=qs: [drew_query(store, q, gate).to_dict() for q in qs], len(qs)))
 
     print(f"store: N={len(store)} d={store.d} dtype={store.embeddings.dtype}")
     print(f"per-query us, median of {PASSES} passes, [min-max] in brackets, "

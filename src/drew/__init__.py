@@ -5,7 +5,6 @@ through a shortened polar code.  A query's decoded key routes retrieval to
 one cluster when the decode looks reliable and falls back to a full exact
 scan otherwise, so routing can only help, never hurt, identification.
 """
-from .backends import active_backend, available_backends, set_backend
 from .channel import (
     AttackConfig,
     AttackStreams,

@@ -1,22 +1,13 @@
-"""Successive-cancellation decode kernels with selectable backends.
+"""Successive-cancellation decode kernel.
 
-Two implementations of successive cancellation with the same decisions:
-
-* ``"numba"`` -- per-element loops compiled with ``@njit`` over the full
-  depth-first tree traversal.  Default when numba imports cleanly.
-* ``"numpy"`` -- a static schedule of ``f`` / ``g`` / combine / leaf steps,
-  each vectorised across the frame axis.  The schedule is compiled once per
-  frozen mask and leaves out every rate-0 (all-frozen) subtree, the first
-  simplification of Alamdar-Yazdi & Kschischang, "A simplified
-  successive-cancellation decoder for polar codes" (IEEE Comm. Letters,
-  2011).  At the default code only 64 of the 509 steps of the full
-  traversal remain.  Always available.
-
-Select with ``DREW_BACKEND=numpy`` (or ``numba``) in the environment before
-import, or :func:`set_backend` at runtime.  Both backends produce the same
-hard decisions and agree on the decision LLRs of information positions to
-float64 rounding; ``benchmarks/bench_backends.py`` compares their
-throughput.
+A static schedule of ``f`` / ``g`` / combine / leaf steps, each vectorised
+across the frame axis.  The schedule is compiled once per frozen mask and
+leaves out every rate-0 (all-frozen) subtree, the first simplification of
+Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation decoder
+for polar codes" (IEEE Comm. Letters, 2011).  At the default code only 64
+of the 509 steps of the full traversal remain, and every kept step does the
+same arithmetic as the full traversal.  ``benchmarks/bench_backends.py``
+times it.
 
 The check-node operation is the exact boxplus
 
@@ -28,26 +19,14 @@ large known-bit LLRs injected at shortened positions.
 from __future__ import annotations
 
 import functools
-import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
 
 # Frames per kernel call; bounds the (m+1, N, B) scratch tree to a few MB.
 _CHUNK = 4096
 
 
-# ---------------------------------------------------------------------------
-# numpy backend: a pruned step schedule, every array op carries the batch
-# axis last.
-# ---------------------------------------------------------------------------
+# The pruned step schedule; every array op carries the batch axis last.
 
 def _boxplus_np(a, b):
     s = np.abs(a + b)
@@ -133,119 +112,9 @@ def _decode_batch_np(chan, frozen, m):
     return np.ascontiguousarray(u.T), np.ascontiguousarray(dec.T)
 
 
-# ---------------------------------------------------------------------------
-# numba backend: same traversal with explicit element loops.
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _boxplus_nb(a, b):
-        s = abs(a + b)
-        d = abs(a - b)
-        if s >= 45.0 and d >= 45.0:
-            # both corrections are below half an ulp of the result
-            return 0.5 * (s - d)
-        return 0.5 * (s - d) + math.log1p(math.exp(-s)) - math.log1p(math.exp(-d))
-
-    @njit(cache=True)
-    def _decode_batch_nb(chan, frozen, m):
-        B, N = chan.shape
-        llr = np.empty((m + 1, N, B))
-        bits = np.zeros((m + 1, N, B), dtype=np.uint8)
-        u = np.zeros((B, N), dtype=np.uint8)
-        dec = np.empty((B, N))
-        state = np.zeros(2 * N, dtype=np.uint8)
-        for j in range(N):
-            for t in range(B):
-                llr[0, j, t] = chan[t, j]
-        depth = 0
-        node = 0
-        while True:
-            if depth == m:
-                if frozen[node]:
-                    for t in range(B):
-                        dec[t, node] = llr[m, node, t]
-                else:
-                    for t in range(B):
-                        L = llr[m, node, t]
-                        dec[t, node] = L
-                        if L < 0.0:
-                            u[t, node] = 1
-                            bits[m, node, t] = 1
-                if node == N - 1:
-                    break
-                node >>= 1
-                depth -= 1
-                continue
-            pos = (1 << depth) - 1 + node
-            size = N >> depth
-            half = size >> 1
-            base = node * size
-            st = state[pos]
-            if st == 0:
-                for j in range(half):
-                    for t in range(B):
-                        llr[depth + 1, base + j, t] = _boxplus_nb(
-                            llr[depth, base + j, t],
-                            llr[depth, base + half + j, t],
-                        )
-                state[pos] = 1
-                node = 2 * node
-                depth += 1
-            elif st == 1:
-                for j in range(half):
-                    for t in range(B):
-                        a = llr[depth, base + j, t]
-                        b = llr[depth, base + half + j, t]
-                        ub = bits[depth + 1, base + j, t]
-                        llr[depth + 1, base + half + j, t] = b + (1.0 - 2.0 * ub) * a
-                state[pos] = 2
-                node = 2 * node + 1
-                depth += 1
-            else:
-                for j in range(half):
-                    for t in range(B):
-                        br = bits[depth + 1, base + half + j, t]
-                        bits[depth, base + j, t] = bits[depth + 1, base + j, t] ^ br
-                        bits[depth, base + half + j, t] = br
-                node >>= 1
-                depth -= 1
-        return u, dec
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
-
-
-def _default_backend() -> str:
-    requested = os.environ.get("DREW_BACKEND", "").strip().lower()
-    if requested:
-        if requested not in ("numba", "numpy"):
-            raise ValueError(f"DREW_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-        if requested == "numba" and not HAS_NUMBA:
-            raise RuntimeError("DREW_BACKEND=numba but numba is not importable")
-        return requested
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_ACTIVE = _default_backend()
-
-
 def active_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (used by tests and benchmarks)."""
-    global _ACTIVE
-    if name not in available_backends():
-        raise ValueError(f"unknown or unavailable backend {name!r}")
-    _ACTIVE = name
+    """Name of the decode kernel, for benchmark reports; numpy is the only one."""
+    return "numpy"
 
 
 def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
@@ -266,7 +135,7 @@ def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
         Hard decisions for every input bit, frozen bits forced to 0.
     dec_llrs : (B, N) float64
         Decision LLR observed at each information position.  Only those
-        positions are defined: the numpy kernel never computes the LLRs of
+        positions are defined: the kernel never computes the LLRs of
         frozen leaves (they decide nothing) and leaves them 0.
 
     Frames are decoded in chunks of at most ``_CHUNK`` rows.
@@ -280,12 +149,11 @@ def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
     frozen = np.ascontiguousarray(frozen_mask, dtype=np.uint8)
     if frozen.shape != (N,):
         raise ValueError("frozen_mask length must equal the block length")
-    kernel = _decode_batch_nb if _ACTIVE == "numba" else _decode_batch_np
     if B <= _CHUNK:
-        return kernel(chan, frozen, m)
+        return _decode_batch_np(chan, frozen, m)
     u = np.empty((B, N), dtype=np.uint8)
     dec = np.empty((B, N))
     for lo in range(0, B, _CHUNK):
         hi = min(lo + _CHUNK, B)
-        u[lo:hi], dec[lo:hi] = kernel(chan[lo:hi], frozen, m)
+        u[lo:hi], dec[lo:hi] = _decode_batch_np(chan[lo:hi], frozen, m)
     return u, dec

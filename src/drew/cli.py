@@ -19,7 +19,6 @@ from importlib import resources
 import numpy as np
 
 from . import ecc, evaluation
-from .backends import active_backend, available_backends, set_backend
 from .channel import AttackConfig, default_suite, load_suite
 from .pipeline import QueryConfig, batch_query, preprocess
 from .store import Store, StoreFormatError, ingest_csv, load_store, save_store
@@ -622,12 +621,6 @@ def cmd_ecc_bench(args) -> int:
     k = int(_setting(args, config, "k"))
     n = int(_setting(args, config, "n"))
     design_p = float(_setting(args, config, "design_p"))
-    if args.backend is not None:
-        if args.backend not in available_backends():
-            raise DataError(
-                f"backend {args.backend!r} unavailable; have {available_backends()}"
-            )
-        set_backend(args.backend)
     spec = ecc.construct_code(k, n, design_p)
     grid = _parse_grid(args.grid)
     rows = evaluation.fer_sweep(spec, grid, args.frames, seed)
@@ -643,7 +636,6 @@ def cmd_ecc_bench(args) -> int:
         sys.stdout.write(text)
     else:
         _write_atomic(args.out, text)
-    sys.stderr.write(f"backend: {active_backend()}\n")
     return 0
 
 
@@ -722,7 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--design-p", dest="design_p", type=float, default=None)
     x.add_argument("--grid", default="0.0,0.05,0.1,0.15,0.2,0.25,0.3")
     x.add_argument("--frames", type=int, default=10000)
-    x.add_argument("--backend", choices=("numpy", "numba"), default=None)
     x.add_argument("--out", default=None)
     x.set_defaults(func=cmd_ecc_bench)
 

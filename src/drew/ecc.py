@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -162,12 +162,17 @@ def code_to_int(bits: np.ndarray) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _bit_weights(k: int) -> np.ndarray:
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
 def codes_to_ints(codes: np.ndarray) -> np.ndarray:
     """Vectorised code_to_int over rows of a (B, k) bit matrix."""
-    codes = np.asarray(codes, dtype=np.uint64)
-    k = codes.shape[-1]
-    weights = (np.uint64(1) << np.arange(k - 1, -1, -1, dtype=np.uint64))
-    return (codes * weights).sum(axis=-1).astype(np.int64)
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes @ _bit_weights(codes.shape[-1])
 
 
 def _check_bits(bits: np.ndarray, length: int, what: str) -> np.ndarray:

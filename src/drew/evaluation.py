@@ -20,9 +20,10 @@ import numpy as np
 
 from . import ecc
 from .channel import AttackConfig, AttackStreams, apply_attack
-from .pipeline import NO_MATCH, QueryConfig
+from .pipeline import NO_MATCH, QueryConfig, batch_query, decode_scopes, route_and_scan
 from .rng import substream
-from .store import Store, scan_ranks, scan_top1
+from .store import Store, csr_index, scan_ranks
+from .store import scan_top1  # noqa: F401  kept as a traced name; see perfbench/spans.py
 from .synthetic import heldout_pool
 
 #: Reported redundancy values are capped here; beyond it they print as inf.
@@ -106,33 +107,18 @@ def _evaluate_attack(
     gt_ids = store.ids[gt_idx].astype(np.int64)
     gt_cluster = store.clusters[gt_idx]
 
-    llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
-    codes, _, rel, _, _ = ecc.decode_batch(
-        spec, llrs, cfg.reliability_threshold, cfg.reliability_mode
-    )
-    dec_cluster = ecc.codes_to_ints(codes)
+    dec_cluster, rel, scopes = decode_scopes(store, keys, cfg)
     correct_cluster = dec_cluster == gt_cluster
 
     naive_idx, naive_sim, gt_rank = scan_ranks(store.embeddings, store.ids, embs, gt_idx)
     naive_id = store.ids[naive_idx].astype(np.int64)
 
-    # routed scope only where the decoder is confident and the cluster has
-    # members; everything else inherits the naive result (same scan).
-    drew_id = naive_id.copy()
-    drew_sim = naive_sim.copy()
-    result_reliable = np.zeros(len(gt_idx), dtype=bool)
-    routed_rows = np.flatnonzero(rel)
-    by_cluster: dict[int, list[int]] = {}
-    for r in routed_rows.tolist():
-        by_cluster.setdefault(int(dec_cluster[r]), []).append(r)
-    for cluster, rows in by_cluster.items():
-        members = store.cluster_members(cluster)
-        if members.size == 0:
-            continue
-        idx, sims = scan_top1(store.embeddings[members], store.ids[members], embs[rows])
-        drew_id[rows] = store.ids[members][idx].astype(np.int64)
-        drew_sim[rows] = sims
-        result_reliable[rows] = True
+    # the serving kernel: routed where the decode is reliable and the
+    # cluster has members, a full-store scan everywhere else
+    order, offsets = store.cluster_index
+    drew_idx, drew_sim, _ = route_and_scan(store.embeddings, store.ids, order, offsets,
+                                           scopes, embs)
+    drew_id = store.ids[drew_idx].astype(np.int64)
 
     naive_matched = np.where(naive_sim >= cfg.tau_r, naive_id, NO_MATCH)
     drew_matched = np.where(drew_sim >= cfg.tau_r, drew_id, NO_MATCH)
@@ -157,7 +143,8 @@ def _evaluate_attack(
     never_band = 3.0 * float(d_i.std(ddof=0)) / math.sqrt(n)
     never_worse_ok = bool(acc_drew >= acc_naive - eps - never_band)
 
-    unrouted = ~result_reliable
+    # two independent full-store scans must agree on every unrouted query
+    unrouted = scopes < 0
     fallback_identity = bool(
         np.array_equal(drew_id[unrouted], naive_id[unrouted])
         and np.array_equal(drew_sim[unrouted], naive_sim[unrouted])
@@ -451,14 +438,9 @@ def lemma1_check(
     gt_ids = store.ids[gt_idx].astype(np.int64)
     naive_idx, _, gt_rank = scan_ranks(store.embeddings, store.ids, embs, gt_idx)
 
-    scoped_idx = np.empty(len(gt_idx), dtype=np.intp)
-    groups: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels[gt_idx].tolist()):
-        groups.setdefault(int(lab), []).append(i)
-    for lab, rows in groups.items():
-        members = np.flatnonzero(labels == lab)
-        idx, _ = scan_top1(store.embeddings[members], store.ids[members], embs[rows])
-        scoped_idx[rows] = members[idx]
+    order, offsets = csr_index(labels, 1 << k)
+    scoped_idx, _, _ = route_and_scan(store.embeddings, store.ids, order, offsets,
+                                      labels[gt_idx], embs)
 
     lhs_i = (store.ids[scoped_idx].astype(np.int64) == gt_ids) & (naive_idx != gt_idx)
     top1_i = gt_rank == 1
@@ -544,8 +526,6 @@ def roc_eval(
     Positives are attacked in-dataset queries; negatives draw a held-out
     embedding and a uniform random key (no watermark).
     """
-    from .pipeline import batch_query  # local import avoids a cycle
-
     if pool is None:
         pool = heldout_pool(max(n_out, 1), store.d, seed)
     keys_in, embs_in, _ = _attack_queries(store, attack, n_in, seed)
@@ -628,14 +608,10 @@ def cluster_subset_accuracy(
     rows = []
     for k in k_grid:
         mod = labels & ((1 << k) - 1)
-        hit = np.zeros(len(gt_idx), dtype=bool)
-        groups: dict[int, list[int]] = {}
-        for i, lab in enumerate(mod[gt_idx].tolist()):
-            groups.setdefault(int(lab), []).append(i)
-        for lab, qrows in groups.items():
-            members = np.flatnonzero(mod == lab)
-            idx, _ = scan_top1(store.embeddings[members], store.ids[members], embs[qrows])
-            hit[qrows] = store.ids[members][idx].astype(np.int64) == gt_ids[qrows]
+        order, offsets = csr_index(mod, 1 << k)
+        idx, _, _ = route_and_scan(store.embeddings, store.ids, order, offsets,
+                                   mod[gt_idx], embs)
+        hit = store.ids[idx].astype(np.int64) == gt_ids
         rows.append({"k": k, "accuracy": float(hit.mean())})
     return rows
 

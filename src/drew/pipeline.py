@@ -1,23 +1,26 @@
 """Query pipeline: watermark-routed retrieval with a safe fallback.
 
-``drew_query`` decodes the observed key, and if the decode looks reliable
-scans only the decoded cluster; otherwise (or when the decoded cluster is
-empty) it scans the whole store, which makes it behave exactly like
-``naive_query`` on that query.  A similarity floor ``tau_r`` turns weak
-best-matches into NO_MATCH.
+Every query, from ``drew query``, the library or ``drew eval``, runs
+through one kernel, :func:`route_and_scan`: each query has a scope, one
+cluster of a CSR layout or -1 for the whole store, and queries that share a
+scope share one exact scan.  :func:`decode_scopes` decodes the observed
+keys and picks the scopes: the decoded cluster when the decode looks
+reliable and the cluster has members, else the whole store, which makes a
+drew query behave exactly like the naive one.  :func:`batch_query` turns
+the scans into results, and ``drew_query`` / ``naive_query`` are its
+one-row calls.  A similarity floor ``tau_r`` turns weak best-matches into
+NO_MATCH.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ecc
 from .channel import Query
-from .store import FULL, Store, assign_clusters, scan_top1, top_matches
-
-log = logging.getLogger(__name__)
+from .store import Store, _check_query_vector, assign_clusters, scan_top1
+from .store import top_matches  # noqa: F401  kept as a traced name; see perfbench/spans.py
 
 #: matched_id sentinel: no stored item is claimed for the query.
 NO_MATCH = -1
@@ -88,42 +91,59 @@ def preprocess(
     return assign_clusters(store, k, seed, spec)
 
 
-def _finish(best_id: int, best_sim: float, decoded, reliable, scope_size: int,
-            cfg: QueryConfig) -> QueryResult:
-    matched = best_id if best_sim >= cfg.tau_r else NO_MATCH
-    return QueryResult(
-        matched_id=matched,
-        similarity=best_sim,
-        decoded_code=decoded,
-        reliable=reliable,
-        scope_size=scope_size,
-    )
+def decode_scopes(store: Store, keys: np.ndarray, cfg: QueryConfig):
+    """Decode observed keys and pick each query's scope.
 
-
-def drew_query(store: Store, q: Query, cfg: QueryConfig = QueryConfig()) -> QueryResult:
-    """Decode, route, scan; fall back to the full store when unsure."""
-    if not store.clustered:
-        raise ValueError("drew_query needs a preprocessed store")
+    Returns ``(clusters, reliable, scopes)``: the decoded cluster, the
+    decoder's reliable flag, and the scope :func:`route_and_scan` takes,
+    which is the decoded cluster where the decode is reliable and the
+    cluster has members, else -1 (the whole store).
+    """
     spec = store.spec
-    llrs = ecc.llr_from_key(spec, q.observed_key, spec.design_p)
-    outcome = ecc.decode(spec, llrs, cfg.reliability_threshold, cfg.reliability_mode)
-    cluster = ecc.code_to_int(outcome.code)
-    reliable = outcome.reliable
-    size = int(store.cluster_sizes[cluster])
-    if reliable and size == 0:
-        log.debug("decoded cluster %d is empty; falling back to full scan", cluster)
-        reliable = False
-    scope, scope_size = (cluster, size) if reliable else (FULL, len(store))
-    matches = top_matches(store, scope, q.observed_embedding, p=1)
-    best_id, best_sim = matches[0]
-    return _finish(best_id, best_sim, cluster, reliable, scope_size, cfg)
+    llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
+    codes, _, reliable, _, _ = ecc.decode_batch(
+        spec, llrs, cfg.reliability_threshold, cfg.reliability_mode
+    )
+    clusters = ecc.codes_to_ints(codes)
+    scopes = np.where(reliable & (store.cluster_sizes[clusters] > 0), clusters, -1)
+    return clusters, reliable, scopes
 
 
-def naive_query(store: Store, q: Query, cfg: QueryConfig = QueryConfig()) -> QueryResult:
-    """Exact scan of the whole store; no key is consulted."""
-    matches = top_matches(store, FULL, q.observed_embedding, p=1)
-    best_id, best_sim = matches[0]
-    return _finish(best_id, best_sim, None, None, len(store), cfg)
+def route_and_scan(embeddings, ids, order, offsets, scopes, queries):
+    """Exact top-1 of every query within its scope, one scan per scope.
+
+    ``scopes[j]`` is a label of the CSR layout ``(order, offsets)``
+    (:func:`drew.store.csr_index`), whose rows must not be empty, or -1 for
+    every row of ``embeddings``; ``order`` and ``offsets`` are not read
+    when every scope is -1.  Queries are grouped by one stable argsort
+    over ``scopes`` and each group is one :func:`scan_top1` call.  Every
+    scan is exact, so a query's answer does not depend on which queries
+    share its group.
+
+    Returns ``(row, sim, scope_size)`` per query: the best row's index into
+    ``embeddings``, its similarity and the number of rows in its scope.
+    """
+    scopes = np.asarray(scopes)
+    B = scopes.shape[0]
+    row = np.empty(B, dtype=np.intp)
+    sim = np.empty(B)
+    size = np.empty(B, dtype=np.int64)
+    perm = np.argsort(scopes, kind="stable")
+    ordered = scopes[perm]
+    cuts = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
+    bounds = [0, *cuts, B] if B else []
+    for lo, hi in zip(bounds, bounds[1:]):
+        group = perm[lo:hi]
+        label = int(ordered[lo])
+        if label < 0:
+            members, mat, mat_ids = None, embeddings, ids
+        else:
+            members = order[offsets[label] : offsets[label + 1]]
+            mat, mat_ids = embeddings[members], ids[members]
+        idx, sim[group] = scan_top1(mat, mat_ids, queries[group])
+        row[group] = idx if members is None else members[idx]
+        size[group] = mat.shape[0]
+    return row, sim, size
 
 
 def batch_query(
@@ -133,59 +153,52 @@ def batch_query(
     cfg: QueryConfig = QueryConfig(),
     naive: bool = False,
 ) -> list[QueryResult]:
-    """Vectorised equivalent of mapping drew_query/naive_query over queries.
+    """Answer a batch of queries: routed by their keys, or ``naive``.
 
-    Produces exactly the same results as the per-query functions (same
-    ordering rule, same fallback semantics), batched for throughput.
+    A drew query scans the scope :func:`decode_scopes` picks; a naive one,
+    or one whose decode is unreliable or lands in an empty cluster, scans
+    the whole store, and ``reliable`` reports whether it was routed.
     """
     embs = np.asarray(embeddings, dtype=np.float64)
-    B = embs.shape[0]
-    if not naive:
+    if naive:
+        order = offsets = None
+        scopes = np.full(embs.shape[0], -1)
+    else:
         if not store.clustered:
             raise ValueError("drew batch query needs a preprocessed store")
-        spec = store.spec
-        llrs = ecc.llr_from_keys(spec, np.asarray(keys), spec.design_p)
-        codes, _, reliable, _, _ = ecc.decode_batch(
-            spec, llrs, cfg.reliability_threshold, cfg.reliability_mode
+        order, offsets = store.cluster_index
+        clusters, _, scopes = decode_scopes(store, keys, cfg)
+        decoded = clusters.tolist()
+        routed = (scopes >= 0).tolist()
+    row, sim, size = route_and_scan(store.embeddings, store.ids, order, offsets, scopes, embs)
+    best = store.ids[row].tolist()
+    sims = sim.tolist()
+    sizes = size.tolist()
+    return [
+        QueryResult(
+            matched_id=best[i] if sims[i] >= cfg.tau_r else NO_MATCH,
+            similarity=sims[i],
+            decoded_code=None if naive else decoded[i],
+            reliable=None if naive else routed[i],
+            scope_size=sizes[i],
         )
-        clusters = ecc.codes_to_ints(codes)
-    full_rows = (
-        np.arange(B)
-        if naive
-        else np.flatnonzero(~reliable | (store.cluster_sizes[clusters] == 0))
-    )
-    best_id = np.empty(B, dtype=np.int64)
-    best_sim = np.empty(B)
-    scope_size = np.full(B, len(store), dtype=np.int64)
-    routed = np.zeros(B, dtype=bool)
-    if full_rows.size:
-        idx, sims = scan_top1(store.embeddings, store.ids, embs[full_rows])
-        best_id[full_rows] = store.ids[idx].astype(np.int64)
-        best_sim[full_rows] = sims
-    if not naive:
-        routed_rows = np.setdiff1d(np.arange(B), full_rows, assume_unique=True)
-        routed[routed_rows] = True
-        by_cluster: dict[int, list[int]] = {}
-        for r in routed_rows.tolist():
-            by_cluster.setdefault(int(clusters[r]), []).append(r)
-        for cluster, rows in by_cluster.items():
-            members = store.cluster_members(cluster)
-            idx, sims = scan_top1(
-                store.embeddings[members], store.ids[members], embs[rows]
-            )
-            best_id[rows] = store.ids[members][idx].astype(np.int64)
-            best_sim[rows] = sims
-            scope_size[rows] = members.size
-    results = []
-    for i in range(B):
-        results.append(
-            _finish(
-                int(best_id[i]),
-                float(best_sim[i]),
-                None if naive else int(clusters[i]),
-                None if naive else bool(routed[i]),
-                int(scope_size[i]),
-                cfg,
-            )
-        )
-    return results
+        for i in range(len(best))
+    ]
+
+
+def drew_query(store: Store, q: Query, cfg: QueryConfig = QueryConfig()) -> QueryResult:
+    """Decode, route, scan; fall back to the full store when unsure.
+
+    A one-row :func:`batch_query`."""
+    if not store.clustered:
+        raise ValueError("drew_query needs a preprocessed store")
+    vec = _check_query_vector(store, q.observed_embedding)
+    return batch_query(store, np.asarray(q.observed_key)[None], vec[None], cfg)[0]
+
+
+def naive_query(store: Store, q: Query, cfg: QueryConfig = QueryConfig()) -> QueryResult:
+    """Exact scan of the whole store; no key is consulted.
+
+    A one-row naive :func:`batch_query`."""
+    vec = _check_query_vector(store, q.observed_embedding)
+    return batch_query(store, None, vec[None], cfg, naive=True)[0]

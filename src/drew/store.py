@@ -78,6 +78,9 @@ from .rng import substream
 
 MAGIC = b"DREWSTOR"
 FORMAT_VERSION = 1
+#: Longest key, in bits, a store file may declare; it bounds the work of
+#: rebuilding the code spec from untrusted metadata.
+_MAX_KEY_BITS = 1 << 16
 _NORM_TOL = 1e-6
 #: Rows per float64 block when the store validates row norms.
 _CHECK_ROWS = 1 << 13
@@ -194,34 +197,42 @@ class Store:
             key=key,
         )
 
-    def _cluster_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR cluster layout: rows sorted by cluster, plus 2**k + 1 offsets.
-
-        The stable sort keeps each cluster's rows ascending.
-        """
+    @property
+    def cluster_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR cluster layout, :func:`csr_index` of the cluster labels."""
         if self.clusters is None:
             raise ValueError("store has no cluster partition yet")
         if self._members is None:
-            order = np.argsort(self.clusters, kind="stable")
-            sizes = np.bincount(self.clusters, minlength=1 << self.spec.k)
-            offsets = np.zeros(sizes.size + 1, dtype=np.intp)
-            np.cumsum(sizes, out=offsets[1:])
-            self._members = (order, offsets)
+            self._members = csr_index(self.clusters, 1 << self.spec.k)
         return self._members
 
-    @property
+    @functools.cached_property
     def cluster_sizes(self) -> np.ndarray:
-        """(2**k,) member count of every cluster."""
-        offsets = self._cluster_index()[1]
-        return np.diff(offsets)
+        """(2**k,) member count of every cluster (read-only)."""
+        sizes = np.diff(self.cluster_index[1])
+        sizes.flags.writeable = False
+        return sizes
 
     def cluster_members(self, cluster: int) -> np.ndarray:
         """Row indices of a cluster, ascending (possibly empty array)."""
-        order, offsets = self._cluster_index()
+        order, offsets = self.cluster_index
         c = int(cluster)
         if not 0 <= c < offsets.size - 1:
             return np.empty(0, dtype=np.intp)
         return order[offsets[c] : offsets[c + 1]]
+
+
+def csr_index(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR layout of a labelling with labels in ``[0, count)``: row indices
+    sorted by label, plus ``count + 1`` offsets, so the rows of label ``c``
+    are ``order[offsets[c] : offsets[c + 1]]``.
+
+    The stable sort keeps each label's rows ascending.
+    """
+    order = np.argsort(labels, kind="stable")
+    offsets = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=count), out=offsets[1:])
+    return order, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +708,8 @@ def save_store(store: Store, path) -> None:
     if not store.clustered:
         raise ValueError("only preprocessed (clustered) stores are saved")
     spec = store.spec
+    if spec.n > _MAX_KEY_BITS:
+        raise ValueError(f"keys of {spec.n} bits exceed the format's {_MAX_KEY_BITS}")
     meta = spec.to_dict()
     meta["partition_seed"] = store.seed
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -732,13 +745,30 @@ def _checksum(data: bytes) -> bytes:
 _READ_BYTES = 1 << 20
 
 
-def _parse_meta(path, blob: bytes):
-    """(metadata dict, code spec) of a store file's metadata JSON."""
+def _parse_meta(path, blob: bytes) -> tuple[int | None, ecc.PolarCodeSpec]:
+    """(partition seed, code spec) of a store file's metadata JSON.
+
+    The spec is rebuilt with :func:`ecc.construct_code` from the stored
+    ``k``, ``n`` and ``design_p`` and must equal the stored document, so
+    every field a loader relies on (frozen set, block length) is one the
+    code construction produces.  Any other metadata is a StoreFormatError.
+    """
     try:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreFormatError(f"{path}: bad metadata JSON: {exc}") from None
-    return meta, ecc.PolarCodeSpec.from_dict(meta)
+    try:
+        k, n, seed = meta["k"], meta["n"], meta.get("partition_seed")
+        if not (type(k) is type(n) is int and 1 <= k <= 16 and n <= _MAX_KEY_BITS):
+            raise ValueError(f"k={k!r} n={n!r} out of range")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"partition_seed {seed!r} is not an integer")
+        spec = ecc.construct_code(k, n, float(meta["design_p"]))
+        if ecc.PolarCodeSpec.from_dict(meta) != spec:
+            raise ValueError("code spec differs from the construction of (k, n, design_p)")
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise StoreFormatError(f"{path}: bad metadata: {exc!r}") from None
+    return seed, spec
 
 
 def _record_layout(blob: bytes, d: int, count: int, nbytes: int) -> np.dtype | None:
@@ -746,7 +776,7 @@ def _record_layout(blob: bytes, d: int, count: int, nbytes: int) -> np.dtype | N
     fill exactly ``nbytes``; None if not, or if the metadata does not parse."""
     try:
         dtype = _record_dtype(d, (_parse_meta("", blob)[1].n + 7) // 8)
-    except Exception:  # load_store raises it again, in its turn
+    except (StoreFormatError, ValueError):  # load_store raises it again, in its turn
         return None
     return dtype if count * dtype.itemsize == nbytes else None
 
@@ -819,22 +849,17 @@ def load_store(path, expect_d: int | None = None) -> Store:
         raise StoreFormatError(f"{path}: embedding dim {d}, expected {expect_d}")
     if off + blob_len > body:
         raise StoreFormatError(f"{path}: truncated metadata")
-    meta, spec = _parse_meta(path, blob)
+    seed, spec = _parse_meta(path, blob)
     if spec.k != k:
         raise StoreFormatError(f"{path}: header k={k} disagrees with spec k={spec.k}")
-    seed = meta.get("partition_seed")
-    expected = off + blob_len + count * _record_dtype(d, (spec.n + 7) // 8).itemsize + 8
     if dtype is None:
         raise StoreFormatError(
-            f"{path}: size {size} != expected {expected} for N={count}"
+            f"{path}: size {size} does not hold N={count} records of d={d}, n={spec.n}"
         )
-    store = Store(
-        ids=ids,
-        embeddings=embeddings,
-        clusters=clusters,
-        spec=spec,
-        seed=None if seed is None else int(seed),
-    )
+    try:
+        store = Store(ids=ids, embeddings=embeddings, clusters=clusters, spec=spec, seed=seed)
+    except ValueError as exc:  # duplicate ids, non-unit rows, labels out of range
+        raise StoreFormatError(f"{path}: {exc}") from None
     # compare packed bytes; the last byte's padding bits carry no key bit
     pad = -spec.n % 8
     if pad:

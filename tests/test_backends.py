@@ -1,32 +1,13 @@
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import mpmath as mp
 import numpy as np
 import pytest
 
 from drew import backends, ecc
-from drew.backends import (
-    HAS_NUMBA,
-    _boxplus_np,
-    active_backend,
-    available_backends,
-    sc_decode_batch,
-    set_backend,
-)
+from drew.backends import _boxplus_np, sc_decode_batch
 from drew.rng import substream
 from test_ecc_codec import TINY_SHAPES
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture
-def restore_backend():
-    before = active_backend()
-    yield
-    set_backend(before)
 
 
 def _noisy_llrs(spec, p, frames, seed):
@@ -35,45 +16,6 @@ def _noisy_llrs(spec, p, frames, seed):
     keys = ecc.encode_all(spec)[msgs]
     keys = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
     return ecc.llr_from_keys(spec, keys, spec.design_p)
-
-
-def test_available_backends_and_selection(restore_backend):
-    assert "numpy" in available_backends()
-    assert active_backend() in available_backends()
-    set_backend("numpy")
-    assert active_backend() == "numpy"
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-
-
-@needs_numba
-@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.45])
-def test_backend_parity_on_noisy_frames(restore_backend, default_spec, p):
-    llrs = _noisy_llrs(default_spec, p, 800, seed=33)
-    out = {}
-    for backend in ("numpy", "numba"):
-        set_backend(backend)
-        out[backend] = ecc.decode_batch(default_spec, llrs)
-    codes_a, scores_a, rel_a, last_a, min_a = out["numpy"]
-    codes_b, scores_b, rel_b, last_b, min_b = out["numba"]
-    assert np.array_equal(codes_a, codes_b)
-    assert np.array_equal(rel_a, rel_b)
-    np.testing.assert_allclose(scores_a, scores_b, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(last_a, last_b, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(min_a, min_b, rtol=1e-10, atol=1e-10)
-
-
-@needs_numba
-def test_backend_parity_shortened_vs_full_blocks(restore_backend):
-    # one shortened shape and one power-of-two shape
-    for spec in (ecc.construct_code(3, 6, 0.08), ecc.construct_code(4, 8, 0.08)):
-        llrs = _noisy_llrs(spec, 0.2, 500, seed=9)
-        set_backend("numpy")
-        a = ecc.decode_batch(spec, llrs)
-        set_backend("numba")
-        b = ecc.decode_batch(spec, llrs)
-        assert np.array_equal(a[0], b[0])
-        np.testing.assert_allclose(a[1], b[1], rtol=1e-10, atol=1e-10)
 
 
 def _textbook_sc(llr, frozen):
@@ -97,8 +39,7 @@ def _textbook_sc(llr, frozen):
 
 @pytest.mark.parametrize("k,n", TINY_SHAPES + ((10, 100), (5, 33)))
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
-def test_pruned_kernel_equals_textbook_sc(restore_backend, k, n, p):
-    set_backend("numpy")
+def test_pruned_kernel_equals_textbook_sc(k, n, p):
     spec = ecc.construct_code(k, n, 0.1)
     llrs = _noisy_llrs(spec, p, 300, seed=k * 1000 + n)
     u, dec = sc_decode_batch(llrs, spec.frozen_mask, spec.m)
@@ -154,20 +95,6 @@ def test_boxplus_against_high_precision_reference():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (a, b)
 
 
-@needs_numba
-def test_numba_boxplus_matches_numpy_everywhere():
-    from drew.backends import _boxplus_nb
-
-    rng = substream(6, "boxplus-parity")
-    a = np.concatenate([rng.uniform(-150, 150, 3000), rng.uniform(-3, 3, 3000),
-                        [1e6, -0.0, 0.0, 137.0], rng.uniform(-150, 150, 4)])
-    b = np.concatenate([rng.uniform(-150, 150, 3000), rng.uniform(-3, 3, 3000),
-                        [2.2, 1.0, 0.0, -137.0], np.full(4, 1e6)])
-    ref = _boxplus_np(a, b)
-    got = np.array([_boxplus_nb(float(x), float(y)) for x, y in zip(a, b)])
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
 def test_known_bit_llrs_survive_boxplus():
     # the exact formula must stay finite when both inputs are huge
     v = _boxplus_np(np.float64(1e6), np.float64(1e6))
@@ -175,8 +102,7 @@ def test_known_bit_llrs_survive_boxplus():
     assert v == pytest.approx(1e6 - np.log(2.0), rel=1e-12)
 
 
-def test_chunked_batches_match_single_frames(restore_backend, default_spec):
-    set_backend("numpy")
+def test_chunked_batches_match_single_frames(default_spec):
     llrs = _noisy_llrs(default_spec, 0.25, 5000, seed=21)  # crosses the 4096 chunk
     codes, scores, rel, last, mins = ecc.decode_batch(default_spec, llrs)
     assert codes.shape == (5000, default_spec.k)
@@ -197,46 +123,3 @@ def test_sc_decode_batch_validation(default_spec):
         sc_decode_batch(np.zeros((1, 5)), frozen, 2)
     with pytest.raises(ValueError, match="frozen_mask"):
         sc_decode_batch(np.zeros((1, 4)), np.zeros(3, dtype=np.uint8), 2)
-
-
-def _run_probe(code: str, env_extra: dict):
-    import os
-
-    env = dict(os.environ)
-    env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-
-
-def test_env_variable_selects_backend():
-    probe = "from drew.backends import active_backend; print(active_backend())"
-    res = _run_probe(probe, {"DREW_BACKEND": "numpy"})
-    assert res.returncode == 0
-    assert res.stdout.strip() == "numpy"
-
-    res = _run_probe(probe, {"DREW_BACKEND": "bogus"})
-    assert res.returncode != 0
-    assert "DREW_BACKEND" in res.stderr
-
-
-def test_env_numba_without_numba_errors():
-    probe = (
-        "import sys; sys.modules['numba'] = None; "
-        "import drew.backends"
-    )
-    res = _run_probe(probe, {"DREW_BACKEND": "numba"})
-    assert res.returncode != 0
-    assert "numba is not importable" in res.stderr
-
-
-def test_missing_numba_falls_back_to_numpy():
-    probe = (
-        "import sys; sys.modules['numba'] = None; "
-        "from drew.backends import active_backend, available_backends; "
-        "print(active_backend(), available_backends())"
-    )
-    res = _run_probe(probe, {"DREW_BACKEND": ""})
-    assert res.returncode == 0
-    assert res.stdout.split()[0] == "numpy"
-    assert "numba" not in res.stdout

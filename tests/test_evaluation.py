@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from drew import evaluation
 from drew.channel import AttackConfig, AttackStreams, apply_attack, default_suite
 from drew.evaluation import (
     _attack_queries,
@@ -72,6 +73,40 @@ def test_identity_attack_record(small_store):
     assert rec.difference == 0.0
     assert rec.alpha == 1.0
     assert rec.eq1_ok and rec.never_worse_ok and rec.fallback_identity
+
+
+def _misroute_first_fallback(monkeypatch):
+    """Make eval's kernel scan the first fallback query inside the largest
+    cluster, while the record still counts that query as unrouted."""
+    real = evaluation.route_and_scan
+
+    def misrouted(embeddings, ids, order, offsets, scopes, queries):
+        scopes = scopes.copy()
+        scopes[np.flatnonzero(scopes < 0)[0]] = int(np.argmax(np.diff(offsets)))
+        return real(embeddings, ids, order, offsets, scopes, queries)
+
+    monkeypatch.setattr(evaluation, "route_and_scan", misrouted)
+
+
+def test_fallback_identity_can_fail(small_store, tmp_path, capsys, monkeypatch):
+    from drew.cli import main
+    from drew.store import save_store
+
+    cfg = QueryConfig(reliability_threshold=1e9)  # every query falls back
+    attack = AttackConfig("noisy", 0.1, 0.3)
+    assert _evaluate_attack(small_store, attack, cfg, 100, seed=4).fallback_identity
+    path = tmp_path / "s.drew"
+    save_store(small_store, path)
+    argv = ["eval", "--store", str(path), "--only", "accuracy", "--n-queries", "60",
+            "--reliability-threshold", "1e9"]
+    assert main(argv + ["--out-dir", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+
+    _misroute_first_fallback(monkeypatch)
+    assert not _evaluate_attack(small_store, attack, cfg, 100, seed=4).fallback_identity
+    assert main(argv + ["--out-dir", str(tmp_path / "bad")]) == 3
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations and all(v.startswith("fallback identity failed") for v in violations)
 
 
 def test_suite_inequalities_hold(small_store):

@@ -5,9 +5,18 @@ import pytest
 
 from drew import ecc
 from drew.channel import AttackConfig, AttackStreams, Query, apply_attack
-from drew.pipeline import NO_MATCH, QueryConfig, batch_query, drew_query, naive_query, preprocess
+from drew.pipeline import (
+    NO_MATCH,
+    QueryConfig,
+    batch_query,
+    decode_scopes,
+    drew_query,
+    naive_query,
+    preprocess,
+    route_and_scan,
+)
 from drew.rng import substream
-from drew.store import FULL, top_matches
+from drew.store import Store, csr_index
 from drew.synthetic import synthetic_store
 
 
@@ -160,3 +169,51 @@ def test_scope_smaller_when_routed(small_store):
     assert res.reliable
     assert res.scope_size == small_store.cluster_members(res.decoded_code).size
     assert res.scope_size < len(small_store)
+
+
+def _brute_top1(store, rows, q):
+    """(row, similarity) of the best of ``rows`` for ``q``: the float64
+    einsum the scans rescore with, ties broken by ascending id."""
+    sims = np.einsum("nd,d->n", store.embeddings[rows].astype(np.float64), q)
+    best = min(range(rows.size), key=lambda i: (-sims[i], int(store.ids[rows[i]])))
+    return rows[best], sims[best]
+
+
+def test_route_and_scan_matches_brute_force():
+    raw = synthetic_store(60, 8, seed=6)
+    rows = np.concatenate([raw.embeddings, raw.embeddings[:10]])  # ten exact ties
+    ids = substream(6, "kernel-ids").permutation(70).astype(np.uint64) + 100
+    store = preprocess(Store(ids, rows), k=6, seed=6, n=32)
+    empty = np.flatnonzero(store.cluster_sizes == 0)
+    assert empty.size > 0
+    _, _, scopes = decode_scopes(store, store.cluster_keys[empty], QueryConfig())
+    assert (scopes == -1).all()  # a reliable decode into an empty cluster falls back
+
+    rng = substream(7, "kernel-queries")
+    queries = np.concatenate([rows[:12].astype(np.float64), rng.standard_normal((30, 8))])
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    custom = substream(8, "kernel-labels").integers(0, 5, size=len(store))
+    layouts = (
+        (store.clusters, store.cluster_index),
+        (custom, csr_index(custom, 6)),  # label 5 is empty and never scanned
+    )
+    for labels, (order, offsets) in layouts:
+        used = np.unique(labels)
+        # full-store group holding the tied rows, a one-row group, a
+        # many-row group, then scopes interleaved at random
+        scopes = np.concatenate([
+            np.full(6, -1), [used[0]], np.full(5, used[1]),
+            rng.choice(np.concatenate([[-1], used[2:]]), size=30),
+        ])
+        counts = np.unique(scopes, return_counts=True)[1]
+        assert counts.min() == 1 and counts.max() > 1
+        row, sim, size = route_and_scan(store.embeddings, store.ids, order, offsets,
+                                        scopes, queries)
+        for j, scope in enumerate(scopes):
+            members = np.arange(len(store)) if scope < 0 else np.flatnonzero(labels == scope)
+            want_row, want_sim = _brute_top1(store, members, queries[j])
+            assert (row[j], sim[j], size[j]) == (want_row, want_sim, members.size), j
+
+    row, sim, size = route_and_scan(store.embeddings, store.ids, None, None,
+                                    np.empty(0, dtype=np.int64), np.empty((0, 8)))
+    assert row.shape == sim.shape == size.shape == (0,)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import struct
 
@@ -547,6 +548,76 @@ def test_load_reads_records_in_chunks(tmp_path, small_store, monkeypatch, read_b
     path.write_bytes(bytes(raw))
     with pytest.raises(StoreFormatError, match="checksum"):
         load_store(path)
+
+
+def _set(key, value):
+    def edit(meta):
+        meta[key] = value
+        return meta
+    return edit
+
+
+def _frozen_out_of_range(meta):
+    meta["frozen_set"][0] = 10**9
+    return meta
+
+
+def _drop_frozen_set(meta):
+    del meta["frozen_set"]
+    return meta
+
+
+# metadata edits that keep a valid checksum but describe no constructed code
+BAD_META = {
+    "json-list": lambda meta: [meta],
+    "frozen-index-1e9": _frozen_out_of_range,
+    "no-frozen-set": _drop_frozen_set,
+    "block-len-100": _set("block_len", 100),
+    "design-p-0.7": _set("design_p", 0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_META))
+def test_load_rejects_bad_metadata_with_valid_checksum(tmp_path, capsys, case):
+    """Metadata that is not the construction of its own (k, n, design_p) is
+    a StoreFormatError, and ``drew query`` reports it as a data error."""
+    from drew.cli import main
+
+    store = store_mod.assign_clusters(
+        synthetic_store(300, 16, seed=5), 6, 5, ecc.construct_code(6, 32, 0.1))
+    path = tmp_path / "s.drew"
+    save_store(store, path)
+    raw = path.read_bytes()
+    at = len(store_mod.MAGIC) + 22
+    blob_len = struct.unpack_from("<I", raw, at - 4)[0]
+    meta = json.loads(raw[at : at + blob_len])
+    blob = json.dumps(BAD_META[case](meta)).encode()
+    edited = raw[: at - 4] + struct.pack("<I", len(blob)) + blob + raw[at + blob_len :]
+    path.write_bytes(_with_checksum(bytearray(edited)))
+    with pytest.raises(StoreFormatError, match="metadata"):
+        load_store(path)
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("")
+    assert main(["query", "--store", str(path), "--queries", str(queries)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+
+def test_load_rejects_bad_records_with_valid_checksum(tmp_path):
+    store = store_mod.assign_clusters(
+        synthetic_store(300, 16, seed=5), 6, 5, ecc.construct_code(6, 32, 0.1))
+    path = tmp_path / "s.drew"
+    save_store(store, path)
+    raw = path.read_bytes()
+    at = len(store_mod.MAGIC) + 22 + struct.unpack_from("<I", raw, len(store_mod.MAGIC) + 18)[0]
+    rec = store_mod._record_dtype(store.d, (store.spec.n + 7) // 8)
+    for field, value, match in (("cluster", 60000, "out of range"),
+                                ("emb", 2.0, "unit norm"),
+                                ("id", int(store.ids[1]), "duplicate")):
+        records = np.frombuffer(raw[at:-8], dtype=rec).copy()
+        records[field][0] = value
+        path.write_bytes(_with_checksum(bytearray(raw[:at] + records.tobytes() + raw[-8:])))
+        with pytest.raises(StoreFormatError, match=match):
+            load_store(path)
 
 
 def test_load_enforces_expected_dimension(tmp_path, small_store):
