@@ -163,6 +163,7 @@ def batch_query(
     if naive:
         order = offsets = None
         scopes = np.full(embs.shape[0], -1)
+        decoded = routed = [None] * embs.shape[0]
     else:
         if not store.clustered:
             raise ValueError("drew batch query needs a preprocessed store")
@@ -171,18 +172,11 @@ def batch_query(
         decoded = clusters.tolist()
         routed = (scopes >= 0).tolist()
     row, sim, size = route_and_scan(store.embeddings, store.ids, order, offsets, scopes, embs)
-    best = store.ids[row].tolist()
-    sims = sim.tolist()
-    sizes = size.tolist()
     return [
-        QueryResult(
-            matched_id=best[i] if sims[i] >= cfg.tau_r else NO_MATCH,
-            similarity=sims[i],
-            decoded_code=None if naive else decoded[i],
-            reliable=None if naive else routed[i],
-            scope_size=sizes[i],
-        )
-        for i in range(len(best))
+        QueryResult(matched_id=best if s >= cfg.tau_r else NO_MATCH, similarity=s,
+                    decoded_code=code, reliable=r, scope_size=n)
+        for best, s, code, r, n in zip(store.ids[row].tolist(), sim.tolist(), decoded,
+                                       routed, size.tolist())
     ]
 
 
