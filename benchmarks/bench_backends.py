@@ -1,6 +1,9 @@
 """Time the SC decoder: batch throughput and single-frame latency.
 
 Run:  python3 benchmarks/bench_backends.py [--frames 20000] [--p 0.2]
+
+Also prints how many frames one kernel call decodes at this code: the
+most whose float64 LLR tree fits the decoder's byte budget.
 """
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import time
 
 import numpy as np
 
-from drew import ecc
+from drew import backends, ecc
 from drew.rng import substream
 
 
@@ -61,6 +64,8 @@ def main() -> None:
 
     print(f"spec: k={spec.k} n={spec.n} block_len={spec.block_len} "
           f"design_p={spec.design_p}  frames={args.frames}  p={args.p}")
+    print(f"frames per chunk: {backends._chunk_frames(spec.m)} "
+          f"(LLR tree budget {backends._CHUNK_BYTES / 2**20:g} MiB)")
     print("medians of 7 passes, [min-max] in brackets")
     header = f"{'batch (s)':>10s} {'frames/s':>26s} {'single (us)':>24s}"
     print(header)

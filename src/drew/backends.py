@@ -9,6 +9,14 @@ of the 509 steps of the full traversal remain, and every kept step does the
 same arithmetic as the full traversal.  ``benchmarks/bench_backends.py``
 times it.
 
+Large batches are decoded in chunks sized by bytes, not frames: a chunk
+holds as many frames as keep its ``((m+1)*N, B)`` float64 LLR tree within
+``_CHUNK_BYTES``, and at least one.  At the default code (N = 128) that is
+512 frames; a batch decodes faster in these cache-sized pieces than in the
+4096-frame chunks (a 33.5 MB tree) they replaced (README, "Decoder").  The
+rule also bounds a chunk's memory for long keys, where a fixed frame count
+let it grow with N log N.
+
 The check-node operation is the exact boxplus
 
     f(a, b) = (|a+b| - |a-b|) / 2 + log1p(exp(-|a+b|)) - log1p(exp(-|a-b|))
@@ -22,8 +30,14 @@ import functools
 
 import numpy as np
 
-# Frames per kernel call; bounds the (m+1, N, B) scratch tree to a few MB.
-_CHUNK = 4096
+#: Upper bound, in bytes, on one chunk's float64 LLR tree.
+_CHUNK_BYTES = 4 << 20
+
+
+def _chunk_frames(m: int) -> int:
+    """Frames per kernel call at block length ``1 << m``: as many as keep
+    the ``((m+1)*N, B)`` float64 LLR tree within ``_CHUNK_BYTES``, at least 1."""
+    return max(1, _CHUNK_BYTES // ((m + 1) * (1 << m) * 8))
 
 
 # The pruned step schedule; every array op carries the batch axis last.
@@ -138,7 +152,9 @@ def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
         positions are defined: the kernel never computes the LLRs of
         frozen leaves (they decide nothing) and leaves them 0.
 
-    Frames are decoded in chunks of at most ``_CHUNK`` rows.
+    Frames are decoded in chunks of :func:`_chunk_frames` rows, the most
+    whose float64 LLR tree fits ``_CHUNK_BYTES`` (512 at the default
+    code); chunking changes no output bit, since every op is per frame.
     """
     chan = np.ascontiguousarray(chan_llrs, dtype=np.float64)
     if chan.ndim != 2:
@@ -149,11 +165,11 @@ def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
     frozen = np.ascontiguousarray(frozen_mask, dtype=np.uint8)
     if frozen.shape != (N,):
         raise ValueError("frozen_mask length must equal the block length")
-    if B <= _CHUNK:
+    step = _chunk_frames(m)
+    if B <= step:
         return _decode_batch_np(chan, frozen, m)
     u = np.empty((B, N), dtype=np.uint8)
     dec = np.empty((B, N))
-    for lo in range(0, B, _CHUNK):
-        hi = min(lo + _CHUNK, B)
-        u[lo:hi], dec[lo:hi] = _decode_batch_np(chan[lo:hi], frozen, m)
+    for lo in range(0, B, step):
+        u[lo : lo + step], dec[lo : lo + step] = _decode_batch_np(chan[lo : lo + step], frozen, m)
     return u, dec

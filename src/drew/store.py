@@ -541,7 +541,9 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
        ``b >= t``, so it cannot reach the top p.  When the chunk fits one
        BLAS product (a cluster scan), candidates are counted before they
        are listed: when p = 1 and every query keeps one row, that row is
-       the BLAS argmax and no index list is built.
+       the BLAS argmax and no index list is built.  On a stacked block at
+       p = 1 they are listed from the columns whose maximum reaches the
+       threshold (:func:`_hot_list`).
     3. Rescore only the kept rows with :func:`_row_sims`, and order them
        by (query, similarity desc, id asc) unless each query kept only
        its argmax.
@@ -578,26 +580,30 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
         width = widths[lo : lo + step]
         b, r = _blas_sims(mat, Q)
         wide = b if r == 1 else b.reshape(-1, r * B)
-        amax = None
+        amax = colmax = None
         if keep > 1:
             t = np.partition(b[:N], N - keep, axis=0)[N - keep]
         elif r == 1:  # b is exactly (N, B): argmax finds t and its row
             amax = b.argmax(axis=0)
-            t = b[amax, np.arange(B)]
+            t = colmax = b[amax, np.arange(B)]
         else:
-            t = wide.max(axis=0).reshape(r, B).max(axis=0)
+            colmax = wide.max(axis=0)
+            t = colmax.reshape(r, B).max(axis=0)
         thr = _outward(t - width, mat.dtype, -np.inf)
-        mask = wide >= (thr if r == 1 else np.tile(thr, r))
-        if amax is not None and np.count_nonzero(mask) == B:
-            qrow, row = None, amax  # each query keeps only its argmax
+        if keep == 1 and r > 1:
+            row, qrow, _ = _hot_list(wide, colmax, np.tile(thr, r), B, r)
         else:
-            # row-major over (N, B): rows ascend; every query keeps >= keep
-            # (1-D flatnonzero runs far faster than a 2-D nonzero)
-            row, qrow = np.divmod(np.flatnonzero(mask), B)
-        del mask
+            mask = wide >= (thr if r == 1 else np.tile(thr, r))
+            if amax is not None and np.count_nonzero(mask) == B:
+                qrow, row = None, amax  # each query keeps only its argmax
+            else:
+                # row-major over (N, B): rows ascend; every query keeps >= keep
+                # (1-D flatnonzero runs far faster than a 2-D nonzero)
+                row, qrow = np.divmod(np.flatnonzero(mask), B)
+            del mask
         sims = _rescore(mat, row, Q, qrow)
         if gt_rows is not None:
-            out_ranks.append(_ranks(mat, ids, Q, b, r, width / 2.0, t, thr,
+            out_ranks.append(_ranks(mat, ids, Q, wide, r, colmax, width / 2.0, t, thr,
                                     gt_rows[lo : lo + step], qrow, row, sims))
         del b, wide
         if qrow is not None:
@@ -611,21 +617,51 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     return _join(out_rows), _join(out_sims), ranks
 
 
-def _ranks(mat, ids, Q, b, r, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
+def _hot_list(wide, colmax, col_thr, B, r):
+    """``(row, qrow, value)`` of every entry of a BLAS block at or above its
+    column's threshold, in row-major order over (N, B).
+
+    ``wide`` is the block viewed as lines of ``r`` whole rows
+    (:func:`_blas_sims`), ``colmax`` its column maxima and ``col_thr`` the
+    threshold of each of its ``r * B`` columns.  Only columns whose maximum
+    reaches the threshold can hold an entry, so when those ("hot" columns)
+    are few, only they are gathered and compared, and the full-block mask
+    (one pass to write, one more to list) is never built.  Entry
+    ``(line, c)`` is row ``line * r + c // B`` for query ``c % B``, and hot
+    columns ascend, so the order is that of ``flatnonzero`` over the whole
+    block.  Gathering costs more per value than a compare, so when more
+    than a quarter of the columns are hot (a 2-vCPU VM broke even near
+    that share) the whole block is compared instead.
+    """
+    hot = np.flatnonzero(colmax >= col_thr)
+    if 4 * hot.size > col_thr.size:
+        at = np.flatnonzero(wide >= col_thr)
+        row, qrow = np.divmod(at, B)
+        return row, qrow, wide.ravel()[at]
+    sub = np.take(wide, hot, axis=1)
+    at = np.flatnonzero(sub >= col_thr[hot])
+    line, j = np.divmod(at, hot.size)
+    off, qrow = np.divmod(hot[j], B)
+    return line * r + off, qrow, sub.ravel()[at]
+
+
+def _ranks(mat, ids, Q, wide, r, colmax, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
     """1-based rank of row ``g[j]`` for query ``Q[j]`` in the (einsum
     similarity desc, id asc) order, from one chunk of :func:`_exact_top`.
 
-    ``(b, r)`` is the chunk's BLAS block (:func:`_blas_sims`), ``t`` each
-    query's BLAS maximum, ``thr`` its shortlist threshold and (qrow, row,
-    sims) the rescored shortlist (``qrow`` None: one row per query, in
+    ``wide`` is the chunk's BLAS block ``b`` viewed as lines of ``r``
+    whole rows (:func:`_blas_sims`), ``colmax`` its column maxima, ``t``
+    each query's BLAS maximum, ``thr`` its shortlist threshold and (qrow,
+    row, sims) the rescored shortlist (``qrow`` None: one row per query, in
     order).  With ``gsim`` the einsum of the ground-truth row, a row with
     ``b > hi >= gsim + delta`` is ahead (its einsum exceeds gsim), a row
     with ``b < lo <= gsim - delta`` is behind, and rows in [lo, hi] are
     rescored.  Where ``t <= hi`` and ``lo >= thr``, nothing is ahead
     outright and [lo, hi] lies inside the shortlist, so the shortlist alone
-    settles the rank.  The other queries share one more compare over the
-    whole block, which lists their rows at or above ``lo``; the settled
-    queries compare against +inf there and list nothing.
+    settles the rank.  The other queries share one more pass,
+    :func:`_hot_list` with ``lo`` as each column's threshold, which lists
+    their rows at or above ``lo``; the settled queries' columns have
+    threshold +inf, so they are never hot and list nothing.
     """
     B = Q.shape[0]
     if qrow is None:
@@ -639,9 +675,8 @@ def _ranks(mat, ids, Q, b, r, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
     need = (t > hi) | (lo < thr)
     if need.any():
         lo = np.where(need, lo, np.inf)
-        at = np.flatnonzero(b.reshape(-1, r * B) >= np.tile(lo, r))
-        brow, bq = np.divmod(at, B)
-        up = b.ravel()[at] > hi[bq]
+        brow, bq, vals = _hot_list(wide, colmax, np.tile(lo, r), B, r)
+        up = vals > hi[bq]
         sure = np.bincount(bq[up], minlength=B)
         brow, bq = brow[~up], bq[~up]
         bsims = _rescore(mat, brow, Q, bq)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -103,16 +105,38 @@ def test_known_bit_llrs_survive_boxplus():
 
 
 def test_chunked_batches_match_single_frames(default_spec):
-    llrs = _noisy_llrs(default_spec, 0.25, 5000, seed=21)  # crosses the 4096 chunk
+    step = backends._chunk_frames(default_spec.m)
+    frames = 2 * step + 7  # crosses two chunk boundaries
+    llrs = _noisy_llrs(default_spec, 0.25, frames, seed=21)
     codes, scores, rel, last, mins = ecc.decode_batch(default_spec, llrs)
-    assert codes.shape == (5000, default_spec.k)
-    pick = substream(22, "pick").choice(5000, size=40, replace=False)
-    for i in pick:
+    assert codes.shape == (frames, default_spec.k)
+    pick = substream(22, "pick").choice(frames, size=40, replace=False)
+    edges = [step - 1, step, 2 * step - 1, 2 * step, frames - 1]
+    for i in np.concatenate([pick, edges]):
         one = ecc.decode(default_spec, llrs[i])
         assert np.array_equal(one.code, codes[i])
         assert one.reliability_score == scores[i]
         assert one.last_llr_mag == last[i]
         assert one.min_llr_mag == mins[i]
+
+
+def test_decode_memory_stays_within_chunk_budget():
+    """A long code's batch decodes in chunks whose LLR tree fits the byte
+    budget: the peak stays near a few budgets plus the outputs, not the
+    ~30 MB a 300-frame tree of N = 1024 would take in one piece."""
+    spec = ecc.construct_code(10, 1024, 0.1)
+    frames = 300
+    assert backends._chunk_frames(spec.m) < frames
+    llrs = substream(31, "long-code").standard_normal((frames, spec.block_len)) * 4.0
+    sc_decode_batch(llrs[:2], spec.frozen_mask, spec.m)  # compile the schedule
+    outputs = frames * spec.block_len * (1 + 8)  # u (uint8) and dec (float64)
+    tracemalloc.start()
+    try:
+        sc_decode_batch(llrs, spec.frozen_mask, spec.m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * backends._CHUNK_BYTES + outputs, peak
 
 
 def test_sc_decode_batch_validation(default_spec):

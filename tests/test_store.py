@@ -325,19 +325,49 @@ def test_scan_ranks_exact_on_spread_store(dtype, sigma):
     _assert_ranks_exact(store, queries, gt)
 
 
-def test_chunked_scans_equal_one_pass(monkeypatch):
-    """Query chunks, BLAS row blocks and rescore gathers split at any size
-    give the same answers as a single pass."""
+def _near_tie_case():
     store, base = _near_tie_store(0)
     queries = np.vstack([base, store.embeddings[:15]])
-    one_idx, one_sims = scan_top1(store.embeddings, store.ids, queries)
-    one_all = top_matches(store, FULL, base, p=len(store))
-    monkeypatch.setattr(store_mod, "_CHUNK_BYTES", 8 * len(store) * 3)
-    monkeypatch.setattr(store_mod, "_BLAS_MADDS", store.d * 7)
-    idx, sims = scan_top1(store.embeddings, store.ids, queries)
-    assert np.array_equal(idx, one_idx)
-    assert np.array_equal(_bits(sims), _bits(one_sims))
-    assert top_matches(store, FULL, base, p=len(store)) == one_all
+    gt = substream(0, "chunked-ranks").integers(0, len(store), queries.shape[0])
+    return store, queries, gt
+
+
+def _spread_case():
+    store = synthetic_store(3000, 64, seed=11)
+    rng = substream(1, "chunked-ranks")
+    gt = rng.integers(0, len(store), 16)
+    sigma = np.repeat([0.2, 0.25, 0.3, 0.35], 4)[:, None]
+    queries = store.embeddings[gt] + sigma * rng.standard_normal((16, store.d))
+    return store, queries / np.linalg.norm(queries, axis=1)[:, None], gt
+
+
+def test_chunked_scans_equal_one_pass(monkeypatch):
+    """Query chunks, BLAS row blocks and rescore gathers split at any size
+    give the same answers as a single pass, for argmax and rank scans.
+
+    On the near-tie store every row is in each shortlist.  On the spread
+    store most ground-truth rows come first and some lie deep, so ranks
+    also come from the band pass.  Between them, the three block shapes
+    (128, 16 and 2 rows per BLAS product) list candidates and bands both
+    from a few hot columns and from a compare over the whole block."""
+    for store, queries, gt in (_near_tie_case(), _spread_case()):
+        one_ranked = scan_ranks(store.embeddings, store.ids, queries, gt)
+        one_all = top_matches(store, FULL, queries[0], p=len(store))
+        assert one_ranked[2].max() > 50
+        for rows in (16, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(store_mod, "_CHUNK_BYTES",
+                              store.embeddings.itemsize * len(store) * 3)
+                patch.setattr(store_mod, "_BLAS_MADDS", store.d * 3 * rows)
+                idx, sims = scan_top1(store.embeddings, store.ids, queries)
+                assert np.array_equal(idx, one_ranked[0])
+                assert np.array_equal(_bits(sims), _bits(one_ranked[1]))
+                ranked = scan_ranks(store.embeddings, store.ids, queries, gt)
+                assert np.array_equal(ranked[0], one_ranked[0])
+                assert np.array_equal(_bits(ranked[1]), _bits(one_ranked[1]))
+                assert np.array_equal(ranked[2], one_ranked[2])
+                assert top_matches(store, FULL, queries[0], p=len(store)) == one_all
+        _assert_ranks_exact(store, queries, gt)
 
 
 def test_empty_query_batch():
