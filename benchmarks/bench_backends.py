@@ -2,8 +2,11 @@
 
 Run:  python3 benchmarks/bench_backends.py [--frames 20000] [--p 0.2]
 
-Also prints how many frames one kernel call decodes at this code: the
-most whose float64 LLR tree fits the decoder's byte budget.
+The single-frame latency is given twice: through ``ecc.decode`` (the
+library's per-query path) and for the kernel alone (``sc_decode_batch`` on
+one row), so the wrapper's share shows.  Also prints how many frames one
+kernel call decodes at this code: the most whose float64 LLR tree fits the
+decoder's byte budget.
 """
 from __future__ import annotations
 
@@ -38,14 +41,15 @@ def _time_batch(spec, llrs, repeats: int = 7) -> tuple[float, float, float]:
     return _spread(times)
 
 
-def _time_single(spec, llrs, count: int = 200,
+def _time_single(decode_one, llrs, count: int = 200,
                  repeats: int = 7) -> tuple[float, float, float]:
-    """Per-frame latency of ``repeats`` passes of ``count`` single decodes."""
+    """Per-frame latency of ``repeats`` passes of ``count`` calls of
+    ``decode_one(frame)``."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for i in range(count):
-            ecc.decode(spec, llrs[i % len(llrs)])
+            decode_one(llrs[i % len(llrs)])
         times.append((time.perf_counter() - t0) / count)
     return _spread(times)
 
@@ -67,16 +71,21 @@ def main() -> None:
     print(f"frames per chunk: {backends._chunk_frames(spec.m)} "
           f"(LLR tree budget {backends._CHUNK_BYTES / 2**20:g} MiB)")
     print("medians of 7 passes, [min-max] in brackets")
-    header = f"{'batch (s)':>10s} {'frames/s':>26s} {'single (us)':>24s}"
+    header = (f"{'batch (s)':>10s} {'frames/s':>26s} {'single ecc.decode (us)':>24s} "
+              f"{'single kernel (us)':>24s}")
     print(header)
     print("-" * len(header))
 
     ecc.decode_batch(spec, llrs)  # warm-up
     batch, b_lo, b_hi = _time_batch(spec, llrs)
-    single, s_lo, s_hi = _time_single(spec, llrs)
+    frozen, m = spec.frozen_mask, spec.m
+    singles = [
+        _time_single(lambda frame: ecc.decode(spec, frame), llrs),
+        _time_single(lambda frame: backends.sc_decode_batch(frame[None], frozen, m), llrs),
+    ]
     rate = f"{args.frames / batch:.0f} [{args.frames / b_hi:.0f}-{args.frames / b_lo:.0f}]"
-    lat = f"{single * 1e6:.1f} [{s_lo * 1e6:.1f}-{s_hi * 1e6:.1f}]"
-    print(f"{batch:10.4f} {rate:>26s} {lat:>24s}")
+    lats = [f"{t * 1e6:.1f} [{lo * 1e6:.1f}-{hi * 1e6:.1f}]" for t, lo, hi in singles]
+    print(f"{batch:10.4f} {rate:>26s} {lats[0]:>24s} {lats[1]:>24s}")
 
 
 if __name__ == "__main__":

@@ -6,15 +6,19 @@ Builds a synthetic store (ids 0..count-1, k=10 clusters) and times, per
 query, the full-store ``top_matches`` at p=1, ``top_matches`` on the
 cluster whose size is closest to 99 rows, full-store ``scan_top1`` at
 batch sizes 1, 4, 16, 41 and 150, the evaluation's rank scan of 150
-queries, and one ``drew_query`` call at a time (gate ``min-bit`` 5, as
-perfbench's ``lookup``) on 50 routed queries (clean keys) and on 20 that
-fall back to the full store (random keys the gate rejects).  Each row is the median of 7 passes with the [min-max] range; a
-pass runs the same fixed queries.  Each row then gives the CPU ticks
-(user + system, read from ``/proc/self/task``; "-" where that is absent)
-that threads other than the caller accrued during its passes, which stays
-0 while every BLAS product runs on the calling thread, and a digest of
-every returned id, similarity and rank, so two checkouts that print the
-same digest gave bit-identical answers.
+queries at noise σ = 0.3 (nearly every column needs the rank band, so
+the whole block is compared) and at σ = 0.1 (most ground truths rank
+first, as for eval's attacked queries, so only the hot columns are), and
+one ``drew_query`` call at a time (gate ``min-bit`` 5, as perfbench's
+``lookup``) on 50 routed queries (clean keys) and on 20 that fall back to
+the full store (random keys the gate rejects).  Each row is the median of
+7 passes with the [min-max] range; a pass runs the same fixed queries.
+Each row then gives the CPU ticks (user + system, read from
+``/proc/self/task``; "-" where that is absent) that threads other than the
+caller accrued during its passes, which stays 0 while every BLAS product
+runs on the calling thread, and a digest of every returned id, similarity
+and rank, so two checkouts that print the same digest gave bit-identical
+answers.
 """
 from __future__ import annotations
 
@@ -117,7 +121,8 @@ def main() -> None:
     single, _ = _queries(store, 50, 0.3, "single")
     routed, _ = _queries(store, 400, 0.3, "routed")
     batch, _ = _queries(store, 41 * 8, 0.3, "batch")
-    ranked, gt = _queries(store, 150, 0.3, "ranked")
+    ranked = {0.3: _queries(store, 150, 0.3, "ranked"),
+              0.1: _queries(store, 150, 0.1, "ranked-0.1")}
 
     gate = QueryConfig(reliability_threshold=5.0, reliability_mode="min-bit")
     embs, rows = _queries(store, 50, 0.3, "lookup-routed")
@@ -146,8 +151,9 @@ def main() -> None:
     for B in (1, 4, 16, 41, 150):
         fn, n = scan_batches(B)
         cases.append((f"scan_top1 FULL B={B}", fn, n))
-    cases.append(("eval rank scan, 150 queries",
-                  lambda: scan_ranks(mat, ids, ranked, gt), len(ranked)))
+    for sigma, (qs, gt) in ranked.items():
+        cases.append((f"eval rank scan, 150 queries, σ={sigma}",
+                      lambda qs=qs, gt=gt: scan_ranks(mat, ids, qs, gt), len(qs)))
     for label, qs in (("routed", routed_q), ("fallback", fallback_q)):
         cases.append((f"drew_query {label} ({len(qs)} queries)",
                       lambda qs=qs: [drew_query(store, q, gate).to_dict() for q in qs], len(qs)))

@@ -5,9 +5,22 @@ across the frame axis.  The schedule is compiled once per frozen mask and
 leaves out every rate-0 (all-frozen) subtree, the first simplification of
 Alamdar-Yazdi & Kschischang, "A simplified successive-cancellation decoder
 for polar codes" (IEEE Comm. Letters, 2011).  At the default code only 64
-of the 509 steps of the full traversal remain, and every kept step does the
-same arithmetic as the full traversal.  ``benchmarks/bench_backends.py``
-times it.
+of the 509 steps of the full traversal remain.  The same rule shrinks the
+steps next to a rate-0 left child, whose bits are the known zeros of the
+zero-initialised bit tree: its parent's ``g`` step is one add, since
+``1.0 - 2.0*0 == 1.0`` and ``1.0*x == x`` for every float (-0.0
+included), and its parent's combine one copy, since ``0 ^ r == r``.  At
+the default code these cover 16 of the 25 ``g`` steps and 16 of the 19
+combines (Sarkis et al., "Fast polar decoders", IEEE JSAC 2014, specialise
+more node kinds; their repetition and single-parity-check shortcuts change
+decision LLRs and are not used).  A leaf writes only its decision LLR and
+its bit; the decisions ``u`` are read off the LLRs once, after the last
+step.  Every output bit equals the full traversal's.
+
+A single frame runs the same steps over flat 1-D views of the tree, where
+slicing and scalar leaf reads cost less than on ``(h, 1)`` views; at one
+frame the kernel's cost is its number of numpy calls, not arithmetic.
+``benchmarks/bench_backends.py`` times both paths.
 
 Large batches are decoded in chunks sized by bytes, not frames: a chunk
 holds as many frames as keep its ``((m+1)*N, B)`` float64 LLR tree within
@@ -49,8 +62,9 @@ def _boxplus_np(a, b):
     return 0.5 * (s - d) + np.log1p(np.exp(-s)) - np.log1p(np.exp(-d))
 
 
-# Step opcodes of a compiled decode schedule.
-_F, _G, _COMBINE, _LEAF = range(4)
+# Step opcodes of a compiled decode schedule.  _G0 and _COPY are the g step
+# and the combine of a node whose left child holds no information leaf.
+_F, _G, _G0, _COMBINE, _COPY, _LEAF = range(6)
 
 
 @functools.lru_cache(maxsize=64)
@@ -66,8 +80,11 @@ def _schedule(frozen_bytes: bytes, m: int) -> tuple:
     A subtree whose leaves are all frozen decodes to zeros, which the
     zero-initialised bit tree already holds, and its LLRs feed no decision,
     so neither its ``f``/``g`` step nor anything below it is emitted.  Nor is
-    a combine whose bits no later ``g`` step reads.  Every step that is kept
-    does the same arithmetic as the full traversal.
+    a combine whose bits no later ``g`` step reads.  Where the left child is
+    such a subtree, its bits stay the tree's zeros, so the node's ``g`` step
+    is the plain sum ``_G0`` (``1.0 - 2.0*0 == 1.0`` and ``1.0*x == x`` for
+    every float) and its combine the plain copy ``_COPY`` (``0 ^ r == r``).
+    Every step that is kept computes the same bits as the full traversal.
     """
     N = 1 << m
     frozen = np.frombuffer(frozen_bytes, dtype=np.uint8)
@@ -87,15 +104,15 @@ def _schedule(frozen_bytes: bytes, m: int) -> tuple:
         half = N >> (depth + 1)
         lo, hi = slice(row, row + half), slice(row + half, row + 2 * half)
         c_lo, c_hi = slice(lo.start + N, lo.stop + N), slice(hi.start + N, hi.stop + N)
-        right_info = has_info(base + half, half)
-        if has_info(base, half):
+        left_info, right_info = has_info(base, half), has_info(base + half, half)
+        if left_info:
             steps.append((_F, lo, hi, c_lo, c_hi))
             walk(depth + 1, base, live or right_info)
         if right_info:
-            steps.append((_G, lo, hi, c_lo, c_hi))
+            steps.append((_G if left_info else _G0, lo, hi, c_lo, c_hi))
             walk(depth + 1, base + half, live)
         if live:
-            steps.append((_COMBINE, lo, hi, c_lo, c_hi))
+            steps.append((_COMBINE if left_info else _COPY, lo, hi, c_lo, c_hi))
 
     if has_info(0, N):
         walk(0, 0, False)
@@ -105,24 +122,32 @@ def _schedule(frozen_bytes: bytes, m: int) -> tuple:
 def _decode_batch_np(chan, frozen, m):
     B, N = chan.shape
     llr = np.empty(((m + 1) * N, B))
-    bits = np.zeros(((m + 1) * N, B), dtype=np.uint8)
     llr[:N] = chan.T
-    u = np.zeros((N, B), dtype=np.uint8)
-    dec = np.zeros((N, B))
+    bits = np.zeros(((m + 1) * N, B), dtype=np.uint8)
+    dec = leaf_llr = np.zeros((N, B))
+    if B == 1:
+        # One frame runs the same steps on flat views: 1-D slices and
+        # scalar leaf reads cost less than (h, 1) views.
+        llr, bits, leaf_llr = llr.reshape(-1), bits.reshape(-1), dec.reshape(-1)
     for op, lo, hi, c_lo, c_hi in _schedule(frozen.tobytes(), m):
         if op == _F:
             llr[c_lo] = _boxplus_np(llr[lo], llr[hi])
+        elif op == _G0:
+            np.add(llr[hi], llr[lo], out=llr[c_hi])
         elif op == _G:
             llr[c_hi] = llr[hi] + (1.0 - 2.0 * bits[c_lo]) * llr[lo]
+        elif op == _COPY:
+            bits[lo] = bits[hi] = bits[c_hi]
         elif op == _COMBINE:
             right = bits[c_hi]
             bits[lo] = bits[c_lo] ^ right
             bits[hi] = right
         else:  # leaf: lo is its tree row, hi its position
             L = llr[lo]
-            dec[hi] = L
-            u[hi] = L < 0.0
-            bits[lo] = u[hi]
+            leaf_llr[hi] = L
+            bits[lo] = L < 0.0
+    # a leaf decides L < 0.0; frozen positions keep dec == 0, hence u == 0
+    u = (dec < 0.0).view(np.uint8)
     return np.ascontiguousarray(u.T), np.ascontiguousarray(dec.T)
 
 

@@ -179,7 +179,12 @@ def _check_bits(bits: np.ndarray, length: int, what: str) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.shape[-1] != length:
         raise ValueError(f"{what} must have length {length}, got {arr.shape[-1]}")
-    if arr.size and arr.max(initial=0) > 1:
+    if arr.dtype == np.uint8 or arr.dtype == np.bool_:
+        bad = arr.max(initial=0) > 1
+    else:
+        # -1, 0.7 or NaN would otherwise cast to some bit without notice
+        bad = arr.dtype.kind not in "iuf" or not np.all((arr == 0) | (arr == 1))
+    if bad:
         raise ValueError(f"{what} must be 0/1 valued")
     return arr.astype(np.uint8)
 

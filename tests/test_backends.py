@@ -68,10 +68,50 @@ def test_schedule_skips_every_all_frozen_subtree(default_spec):
         first, stop = {
             backends._F: (base, base + half),
             backends._G: (base + half, base + 2 * half),
+            backends._G0: (base + half, base + 2 * half),
             backends._COMBINE: (base, base + 2 * half),
+            backends._COPY: (base, base + 2 * half),
         }[op]
         assert info & set(range(first, stop)), (op, first, stop)
+        if op != backends._F:
+            # the add-only g and the copy-only combine read the left child's
+            # bits as zeros, which holds only if it has no information leaf
+            left_info = bool(info & set(range(base, base + half)))
+            assert left_info == (op in (backends._G, backends._COMBINE)), (op, base, half)
     assert leaves == sorted(info)
+    ops = [step[0] for step in steps]
+    # at the default code the shortcuts cover 16 of 25 g steps and 16 of 19 combines
+    assert (ops.count(backends._G0), ops.count(backends._G)) == (16, 9)
+    assert (ops.count(backends._COPY), ops.count(backends._COMBINE)) == (16, 3)
+
+
+def _raw_llrs(spec, frames, seed):
+    """LLR frames no key produces: mixed magnitudes from 1e-3 to 1e3, with
+    about a third of the entries drawn from -0.0, 0.0, +-KNOWN_BIT_LLR and
+    the smallest floats."""
+    rng = substream(seed, "raw-llrs")
+    shape = (frames, spec.block_len)
+    llrs = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pool = np.array([-0.0, 0.0, ecc.KNOWN_BIT_LLR, -ecc.KNOWN_BIT_LLR, 5e-324, -5e-324])
+    pick = rng.random(shape) < 0.35
+    llrs[pick] = rng.choice(pool, size=int(pick.sum()))
+    return llrs
+
+
+@pytest.mark.parametrize("k,n", TINY_SHAPES + ((10, 100), (5, 33)))
+def test_single_frames_equal_textbook_sc(k, n):
+    """One frame runs the schedule over flat views; it must still match the
+    textbook decoder bit for bit, signed zeros and known-bit LLRs included."""
+    spec = ecc.construct_code(k, n, 0.1)
+    llrs = np.vstack([_noisy_llrs(spec, 0.2, 30, seed=k * 1000 + n),
+                      _raw_llrs(spec, 60, seed=k * 1000 + n)])
+    assert np.signbit(llrs[llrs == 0.0]).any()
+    ref_u, _, ref_dec = _textbook_sc(llrs, spec.frozen_mask)
+    info = spec.info_positions
+    for i, frame in enumerate(llrs):
+        u, dec = sc_decode_batch(frame[None, :], spec.frozen_mask, spec.m)
+        assert np.array_equal(u[0], ref_u[i]), i
+        assert np.array_equal(dec[0, info].view(np.uint64), ref_dec[i, info].view(np.uint64)), i
 
 
 def test_boxplus_against_high_precision_reference():

@@ -170,6 +170,33 @@ def test_llr_from_key_formula_and_shortening():
             ecc.llr_from_key(spec, key, bad_p)
 
 
+# every non-bit value the old max-only check let through, plus 2
+NON_BITS = (-1, 0.7, np.nan, 2)
+
+
+@pytest.mark.parametrize("value", NON_BITS)
+def test_non_bit_keys_and_codes_are_rejected(value):
+    spec = ecc.construct_code(4, 8, 0.1)
+    key = np.zeros((1, 8))
+    key[0, 3] = value
+    with pytest.raises(ValueError, match="0/1"):
+        ecc.llr_from_keys(spec, key, 0.1)
+    code = np.zeros(4)
+    code[1] = value
+    with pytest.raises(ValueError, match="0/1"):
+        ecc.encode(spec, code)
+
+
+def test_bits_of_any_numeric_dtype_are_accepted():
+    spec = ecc.construct_code(4, 8, 0.1)
+    key = np.array([[0, 1, 1, 0, 1, 0, 0, 1]])
+    want = ecc.llr_from_keys(spec, key.astype(np.uint8), 0.1)
+    for dtype in (bool, np.int8, np.int64, np.float64):
+        assert np.array_equal(ecc.llr_from_keys(spec, key.astype(dtype), 0.1), want)
+    with pytest.raises(ValueError, match="0/1"):
+        ecc.llr_from_keys(spec, key.astype(str), 0.1)
+
+
 def test_fer_monotone_in_flip_rate():
     spec = ecc.construct_code(10, 100, 0.1)
     rows = fer_sweep(spec, [0.05, 0.1, 0.15, 0.2, 0.25, 0.3], 10_000, seed=202)

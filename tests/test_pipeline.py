@@ -146,6 +146,15 @@ def test_batch_query_equals_per_query(small_store):
         assert nbatch[j] == b
 
 
+@pytest.mark.parametrize("value", [-1, 0.7, np.nan])
+def test_batch_query_rejects_non_bit_keys(small_store, value):
+    q = _query_for(small_store, 3)
+    keys = q.observed_key[None].astype(np.float64)
+    keys[0, 5] = value
+    with pytest.raises(ValueError, match="0/1"):
+        batch_query(small_store, keys, q.observed_embedding[None])
+
+
 def test_query_config_validation():
     with pytest.raises(ValueError):
         QueryConfig(tau_r=1.5)
