@@ -186,7 +186,7 @@ def _check_bits(bits: np.ndarray, length: int, what: str) -> np.ndarray:
         bad = arr.dtype.kind not in "iuf" or not np.all((arr == 0) | (arr == 1))
     if bad:
         raise ValueError(f"{what} must be 0/1 valued")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +266,18 @@ def llr_from_keys(spec: PolarCodeSpec, keys: np.ndarray, channel_p: float) -> np
     bits = _check_bits(keys, spec.n, "key")
     if bits.ndim != 2:
         raise ValueError("keys must be a (B, n) bit matrix")
-    c = math.log((1.0 - channel_p) / channel_p)
     llrs = np.full((bits.shape[0], spec.block_len), KNOWN_BIT_LLR)
-    llrs[:, : spec.n] = np.where(bits == 1, -c, c)
+    llrs[:, : spec.n] = _bit_llrs(channel_p)[bits]
     return llrs
+
+
+@lru_cache(maxsize=16)
+def _bit_llrs(channel_p: float) -> np.ndarray:
+    """LLRs of an observed 0 and 1, ``(c, -c)`` with ``c = ln((1-p)/p)``."""
+    c = math.log((1.0 - channel_p) / channel_p)
+    table = np.array([c, -c])
+    table.flags.writeable = False
+    return table
 
 
 def decode_batch(
@@ -285,12 +293,14 @@ def decode_batch(
     """
     if mode not in RELIABILITY_MODES:
         raise ValueError(f"mode must be one of {RELIABILITY_MODES}, got {mode!r}")
-    arr = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    arr = np.asarray(llrs, dtype=np.float64)
+    if arr.ndim < 2:
+        arr = arr.reshape(1, -1)
     if arr.shape[-1] != spec.block_len:
         raise ValueError(
             f"LLR frame length {arr.shape[-1]} != block length {spec.block_len}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("LLR input must be finite")
     u, dec = backends.sc_decode_batch(arr, spec.frozen_mask, spec.m)
     info = spec.info_positions

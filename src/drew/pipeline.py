@@ -40,7 +40,7 @@ class QueryConfig:
     reliability_mode: str = "last-bit"
 
     def __post_init__(self):
-        if self.reliability_threshold < 0.0:
+        if not self.reliability_threshold >= 0.0:  # NaN would route nothing
             raise ValueError("reliability_threshold must be >= 0")
         if not -1.0 <= self.tau_r <= 1.0:
             raise ValueError("tau_r must lie in [-1, 1]")
@@ -116,9 +116,9 @@ def route_and_scan(embeddings, ids, order, offsets, scopes, queries):
     (:func:`drew.store.csr_index`), whose rows must not be empty, or -1 for
     every row of ``embeddings``; ``order`` and ``offsets`` are not read
     when every scope is -1.  Queries are grouped by one stable argsort
-    over ``scopes`` and each group is one :func:`scan_top1` call.  Every
-    scan is exact, so a query's answer does not depend on which queries
-    share its group.
+    over ``scopes`` (a single query is its own group) and each group is
+    one :func:`scan_top1` call.  Every scan is exact, so a query's answer
+    does not depend on which queries share its group.
 
     Returns ``(row, sim, scope_size)`` per query: the best row's index into
     ``embeddings``, its similarity and the number of rows in its scope.
@@ -128,13 +128,15 @@ def route_and_scan(embeddings, ids, order, offsets, scopes, queries):
     row = np.empty(B, dtype=np.intp)
     sim = np.empty(B)
     size = np.empty(B, dtype=np.int64)
-    perm = np.argsort(scopes, kind="stable")
-    ordered = scopes[perm]
-    cuts = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
-    bounds = [0, *cuts, B] if B else []
-    for lo, hi in zip(bounds, bounds[1:]):
-        group = perm[lo:hi]
-        label = int(ordered[lo])
+    if B == 1:
+        groups = [(int(scopes[0]), slice(0, 1))]
+    else:
+        perm = np.argsort(scopes, kind="stable")
+        ordered = scopes[perm]
+        cuts = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
+        bounds = [0, *cuts, B] if B else []
+        groups = [(int(ordered[lo]), perm[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    for label, group in groups:
         if label < 0:
             members, mat, mat_ids = None, embeddings, ids
         else:

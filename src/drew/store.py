@@ -66,6 +66,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -356,9 +357,11 @@ def _check_query_vector(store: Store, q: np.ndarray) -> np.ndarray:
     vec = np.asarray(q, dtype=np.float64)
     if vec.shape != (store.d,):
         raise ValueError(f"query dim {vec.shape} does not match store dim ({store.d},)")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("query embedding must be finite")
-    if abs(np.linalg.norm(vec) - 1.0) > _NORM_TOL:
+    # sqrt(v.v) is np.linalg.norm of a 1-D vector; it is NaN or inf, and
+    # fails the test, whenever an entry is not finite
+    if not abs(math.sqrt(vec.dot(vec)) - 1.0) <= _NORM_TOL:
+        if not np.isfinite(vec).all():
+            raise ValueError("query embedding must be finite")
         raise ValueError("query embedding must be unit norm within 1e-6")
     return vec
 
@@ -428,6 +431,11 @@ _CHUNK_BYTES = 16 << 20
 #: scheduler time slice (~8 ms on a 2-vCPU VM) instead of ~1.3 ms for a
 #: full 100k x 64 scan, so scan times would depend on thread placement.
 _BLAS_MADDS = 1 << 17
+
+#: Most rows that :func:`_exact_top` scans for a single query by rescoring
+#: every row (:func:`_scan_one`) rather than through the BLAS shortlist,
+#: whose fixed cost is larger at this size.
+_SMALL_SCAN = 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -548,6 +556,11 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
        by (query, similarity desc, id asc) unless each query kept only
        its argmax.
 
+    A single query at p = 1 over at most ``_SMALL_SCAN`` rows skips steps
+    1-2, whose fixed cost is larger there than rescoring every row
+    (:func:`_scan_one`); the answer is the same, since every similarity
+    returned comes from :func:`_row_sims` either way.
+
     ``ranks`` is None unless ``gt_rows`` (p = 1 only) gives one row per
     query; then it holds that row's 1-based rank in the same order, found
     from the same BLAS block (:func:`_ranks`).
@@ -567,11 +580,13 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     if not np.maximum.reduce(qnorms, initial=0.0) < qmax:  # also false on NaN
         raise ValueError("query embeddings must be finite (and of norm below "
                          f"{qmax:.3g} for {mat.dtype} rows)")
-    widths = 2.0 * coef * qnorms + 2.0 * floor  # 2 * delta per query
     keep = min(p, N)
     if queries.shape[0] == 0:
         return (np.empty((0, keep), dtype=np.intp), np.empty((0, keep)),
                 None if gt_rows is None else np.empty(0, dtype=np.int64))
+    if queries.shape[0] == 1 and N <= _SMALL_SCAN and keep == 1 and gt_rows is None:
+        return _scan_one(mat, ids, queries[0])
+    widths = 2.0 * coef * qnorms + 2.0 * floor  # 2 * delta per query
     step = max(1, _CHUNK_BYTES // (mat.itemsize * N))
     out_rows, out_sims, out_ranks = [], [], []
     for lo in range(0, queries.shape[0], step):
@@ -615,6 +630,19 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
         out_sims.append(sims.reshape(-1, keep))
     ranks = _join(out_ranks) if out_ranks else None
     return _join(out_rows), _join(out_sims), ranks
+
+
+def _scan_one(mat, ids, q):
+    """:func:`_exact_top` of one query ``q`` at p = 1, by rescoring every row
+    with :func:`_row_sims`: the first row of the greatest similarity, or,
+    where several rows tie at it, the one of least id (a cluster's rows are
+    in row order, not id order)."""
+    sims = _row_sims(mat, q)
+    tie = sims == sims.max()
+    row = tie.argmax()
+    if np.count_nonzero(tie) > 1:
+        row = np.where(tie, ids, ids.max()).argmin()
+    return np.array([[row]], dtype=np.intp), sims[row : row + 1][None], None
 
 
 def _hot_list(wide, colmax, col_thr, B, r):

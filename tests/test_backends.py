@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -53,36 +55,140 @@ def test_pruned_kernel_equals_textbook_sc(k, n, p):
     assert np.array_equal(ref_x, ecc.polar_transform(ref_u))
 
 
+def _rows(rows):
+    return set(range(rows.start, rows.stop))
+
+
+def _bit_flow(steps):
+    """Per step, the sign-tree rows it reads and writes."""
+    for op, lo, hi, c_lo, c_hi in steps:
+        reads, writes = {
+            backends._G: ((c_lo,), ()),
+            backends._COMBINE: ((c_lo, c_hi), (lo, hi)),
+            backends._COPY: ((hi,), (lo,)),  # lo: the chain's top node, hi: its source
+            backends._LEAF: ((), (lo,)),
+            backends._KNOWN: ((), (lo,)),
+        }.get(op, ((), ()))
+        yield op, set().union(*map(_rows, reads)), set().union(*map(_rows, writes))
+
+
+def _check_dataflow(steps, N):
+    """Every row a step reads was written earlier in the same decode (the
+    trees start undefined; level 0 holds the channel LLRs, and the leaf
+    level's LLRs are read off at the end), and every sign row a step writes
+    is read later by a g step, directly or through later combines."""
+    llr_written = set(range(N))
+    for op, lo, hi, c_lo, c_hi in steps:
+        if op in (backends._F, backends._G, backends._G0):
+            assert _rows(lo) | _rows(hi) <= llr_written, (op, lo)
+            llr_written |= _rows(c_lo if op == backends._F else c_hi)
+    written = set()
+    for op, reads, writes in _bit_flow(steps):
+        assert reads <= written, (op, sorted(reads - written))
+        written |= writes
+    needed = set()
+    for op, reads, writes in reversed(list(_bit_flow(steps))):
+        if op != backends._G:
+            assert writes <= needed, (op, sorted(writes - needed))
+        needed |= reads
+
+
 def test_schedule_skips_every_all_frozen_subtree(default_spec):
     N, m = default_spec.block_len, default_spec.m
     info = set(default_spec.info_positions.tolist())
     steps = backends._schedule(default_spec.frozen_mask.tobytes(), m)
-    leaves = []
     for op, lo, hi, _, _ in steps:
         if op == backends._LEAF:
-            leaves.append(hi)
+            assert lo.stop - lo.start == 1 and lo.start == m * N + hi and hi in info
             continue
         base = lo.start % N
         half = lo.stop - lo.start
+        if op == backends._COPY:
+            # a chain of copy-only combines up a right spine: the top node's
+            # information leaves all lie in its source, the spine's lowest node
+            width = hi.stop - hi.start
+            src_base = hi.start % N
+            assert half % width == 0 and (half // width) & (half // width - 1) == 0
+            assert src_base + width == base + half and hi.start // N > lo.start // N
+            assert info & set(range(src_base, src_base + width))
+            assert not info & set(range(base, src_base))
+            continue
+        assert op != backends._KNOWN  # a constructed code never needs one
         # the leaf range of the node whose LLRs or bits the step writes
         first, stop = {
             backends._F: (base, base + half),
             backends._G: (base + half, base + 2 * half),
             backends._G0: (base + half, base + 2 * half),
             backends._COMBINE: (base, base + 2 * half),
-            backends._COPY: (base, base + 2 * half),
         }[op]
         assert info & set(range(first, stop)), (op, first, stop)
         if op != backends._F:
-            # the add-only g and the copy-only combine read the left child's
-            # bits as zeros, which holds only if it has no information leaf
+            # the add-only g reads the left child's bits as zeros, which holds
+            # only if it has no information leaf
             left_info = bool(info & set(range(base, base + half)))
             assert left_info == (op in (backends._G, backends._COMBINE)), (op, base, half)
-    assert leaves == sorted(info)
+    _check_dataflow(steps, N)
     ops = [step[0] for step in steps]
-    # at the default code the shortcuts cover 16 of 25 g steps and 16 of 19 combines
+    # at the default code the shortcuts cover 16 of 25 g steps; the 16
+    # copy-only combines form 7 chains, next to 3 full combines; the last
+    # information leaf's bit is read by no g step
     assert (ops.count(backends._G0), ops.count(backends._G)) == (16, 9)
-    assert (ops.count(backends._COPY), ops.count(backends._COMBINE)) == (16, 3)
+    assert (ops.count(backends._COPY), ops.count(backends._COMBINE)) == (7, 3)
+    assert ops.count(backends._LEAF) == len(info) - 1
+
+
+def test_random_frozen_masks_equal_textbook_sc():
+    """Any frozen mask, not only a constructed code's: the schedule's
+    dataflow holds and the kernel matches the textbook decoder, in batches
+    and one frame at a time.  Some masks put an all-frozen right child under
+    a combine whose bits a later g step reads (the _KNOWN step)."""
+    rng = substream(41, "random-masks")
+    known = 0
+    for trial in range(60):
+        m = 1 + trial % 5
+        N = 1 << m
+        frozen = (rng.random(N) < 0.5).astype(np.uint8)
+        steps = backends._schedule(frozen.tobytes(), m)
+        _check_dataflow(steps, N)
+        known += any(step[0] == backends._KNOWN for step in steps)
+        llrs = rng.standard_normal((9, N)) * 10.0 ** rng.integers(-3, 4, size=(9, N))
+        ref_u, _, ref_dec = _textbook_sc(llrs, frozen)
+        info = np.flatnonzero(frozen == 0)
+        u, dec = sc_decode_batch(llrs, frozen, m)
+        assert np.array_equal(u, ref_u), trial
+        assert np.array_equal(dec[:, info].view(np.uint64), ref_dec[:, info].view(np.uint64))
+        for i in range(3):
+            u1, dec1 = sc_decode_batch(llrs[i : i + 1], frozen, m)
+            assert np.array_equal(u1[0], ref_u[i]) and np.array_equal(dec1[0], dec[i])
+    assert known >= 5, known
+
+
+def test_single_frames_decode_alike_from_many_threads(default_spec):
+    """Each thread decodes single frames on its own bound tree: threads
+    switching every microsecond mid-decode get the batch's answers."""
+    llrs = _noisy_llrs(default_spec, 0.2, 64, seed=51)
+    want_u, want_dec = sc_decode_batch(llrs, default_spec.frozen_mask, default_spec.m)
+    wrong = []
+
+    def work(offset):
+        for i in range(3 * len(llrs)):
+            j = (i + offset) % len(llrs)
+            u, dec = sc_decode_batch(llrs[j : j + 1], default_spec.frozen_mask, default_spec.m)
+            if not (np.array_equal(u[0], want_u[j]) and np.array_equal(dec[0], want_dec[j])):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 16,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _raw_llrs(spec, frames, seed):

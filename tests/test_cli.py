@@ -257,6 +257,17 @@ def test_query_forced_fallback_matches_naive(tmp_path, capsys):
         assert d["similarity"] == n["similarity"]
 
 
+def test_query_rejects_nan_reliability_threshold(tmp_path, capsys):
+    store_path = tmp_path / "s.drew"
+    store = _build_store(store_path, count=60)
+    qfile = tmp_path / "q.jsonl"
+    qfile.write_text(_query_line(store, 3, "a") + "\n")
+    code, out, err = _run(capsys, ["query", "--store", str(store_path), "--queries",
+                                   str(qfile), "--reliability-threshold", "nan"])
+    assert code == 2 and out == ""
+    assert "reliability_threshold" in json.loads(err)["message"]
+
+
 def test_query_stdin_and_out_file(tmp_path, capsys, monkeypatch):
     store_path = tmp_path / "s.drew"
     store = _build_store(store_path)

@@ -164,6 +164,12 @@ def test_query_config_validation():
         QueryConfig(reliability_mode="mean-bit")
 
 
+def test_nan_reliability_threshold_is_rejected():
+    # NaN compares false with every score, so it would silently route nothing
+    with pytest.raises(ValueError, match="reliability_threshold"):
+        QueryConfig(reliability_threshold=float("nan"))
+
+
 def test_query_result_dict_has_stable_fields(small_store):
     q = _query_for(small_store, 4)
     doc = drew_query(small_store, q).to_dict()
@@ -226,3 +232,47 @@ def test_route_and_scan_matches_brute_force():
     row, sim, size = route_and_scan(store.embeddings, store.ids, None, None,
                                     np.empty(0, dtype=np.int64), np.empty((0, 8)))
     assert row.shape == sim.shape == size.shape == (0,)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_route_and_scan_one_query_equals_batch():
+    """A single query skips the grouping (and scans a small scope by
+    rescoring every row); its answer and the dtypes of its arrays are those
+    the same query gets inside a batch whose groups go through the BLAS
+    shortlist, for the full-store scope, a cluster and the fallback scope of
+    a reliable decode into an empty cluster."""
+    raw = synthetic_store(60, 8, seed=6)
+    rows = np.concatenate([raw.embeddings, raw.embeddings[:10]])  # ten exact ties
+    ids = substream(6, "kernel-ids").permutation(70).astype(np.uint64) + 100
+    store = preprocess(Store(ids, rows), k=6, seed=6, n=32)
+    order, offsets = store.cluster_index
+    empty = np.flatnonzero(store.cluster_sizes == 0)
+    _, _, fallback = decode_scopes(store, store.cluster_keys[empty[:1]], QueryConfig())
+    assert fallback.tolist() == [-1]
+    cluster = int(np.argmax(store.cluster_sizes))
+    assert store.cluster_sizes[cluster] > 1
+    members = order[offsets[cluster] : offsets[cluster + 1]]
+    rng = substream(9, "one-query")
+    # tied rows, a cluster's own rows, and noisy queries; two or more per scope
+    queries = np.concatenate([rows[[0, 61]], rows[members[:2]],
+                              rows[:4] + 0.3 * rng.standard_normal((4, 8))]).astype(np.float64)
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    scopes = np.array([-1, fallback[0], cluster, cluster, -1, cluster, fallback[0], cluster])
+    row, sim, size = route_and_scan(store.embeddings, store.ids, order, offsets, scopes, queries)
+    for j in range(len(scopes)):
+        one = route_and_scan(store.embeddings, store.ids, order, offsets,
+                             scopes[j : j + 1], queries[j : j + 1])
+        for got, want in zip(one, (row, sim, size)):
+            assert got.dtype == want.dtype and got.shape == (1,)
+        assert (one[0][0], one[2][0]) == (row[j], size[j]), j
+        assert _bits(one[1][0]) == _bits(sim[j]), j
+
+    # the library's one-row call on the empty cluster's key falls back
+    keys = np.repeat(store.cluster_keys[empty[:1]], 3, axis=0)
+    batch = batch_query(store, keys, queries[:3])
+    for j in range(3):
+        res = drew_query(store, Query(observed_key=keys[j], observed_embedding=queries[j]))
+        assert res == batch[j] and res.reliable is False and res.scope_size == len(store)

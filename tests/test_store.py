@@ -289,6 +289,39 @@ def test_scan_top1_exact_under_ulp_ties(dtype, seed):
     _assert_scan_top1_exact(store, np.vstack([queries, rows]))
 
 
+@DTYPES
+@pytest.mark.parametrize("seed", range(3))
+def test_one_query_scan_exact_around_the_cutoff(dtype, seed, monkeypatch):
+    """A single query over at most ``_SMALL_SCAN`` rows rescores every row
+    (``_scan_one``); above that the BLAS shortlist takes over.  Both agree
+    bit for bit with the reference on the tie stores, with ids out of row
+    order and the best row present three times: first in row order under
+    the highest id, last under the lowest, which must win."""
+    sizes = []
+    scan_one = store_mod._scan_one
+    monkeypatch.setattr(store_mod, "_scan_one",
+                        lambda mat, *rest: sizes.append(mat.shape[0]) or scan_one(mat, *rest))
+    cut = store_mod._SMALL_SCAN
+    rng = substream(seed, "one-query-cutoff")
+    near, base = _near_tie_store(seed, count=600)
+    cases = [_ulp_tie_store(seed, dtype, count=600), (near, base[None])]
+    for store, queries in cases:
+        for size in (cut - 1, cut, cut + 1):
+            pick = rng.choice(len(store), size - 2, replace=False)
+            mat = store.embeddings[pick].astype(dtype)
+            ids = store.ids[pick]
+            assert not np.all(np.diff(ids.astype(np.int64)) > 0)
+            for q in queries:
+                best = int(np.lexsort((ids, -_row_sims(mat, q)))[0])
+                tied = np.concatenate([mat[best : best + 1], mat, mat[best : best + 1]])
+                tied_ids = np.concatenate([[ids.max() + 1], ids, [ids.min() - 1]])
+                row, sim = scan_top1(tied, tied_ids, q[None])
+                ref_ids, ref_sims = _reference_top(tied, tied_ids, q, 1)
+                assert row[0] == size - 1 and tied_ids[row[0]] == ref_ids[0]
+                assert _bits(sim[0]) == _bits(ref_sims[0])
+    assert sorted(set(sizes)) == [cut - 1, cut]
+
+
 def _assert_ranks_exact(store, queries, gt):
     """scan_ranks against a full einsum + lexsort of the whole store."""
     idx, sims, ranks = scan_ranks(store.embeddings, store.ids, queries, gt)
