@@ -127,14 +127,19 @@ class Store:
             raise ValueError("embeddings must be a (N, d) matrix")
         if ids.shape != (embeddings.shape[0],):
             raise ValueError("ids and embeddings disagree on N")
-        if ids.size and np.unique(ids).size != ids.size:
+        # strictly ascending ids (ids 0..N-1, any file written from them) are
+        # unique after one linear compare; only other orders are sorted
+        if (ids.size > 1 and not np.all(ids[1:] > ids[:-1])
+                and np.unique(ids).size != ids.size):
             raise ValueError("duplicate ids in store")
-        if not np.all(np.isfinite(embeddings)):
-            raise ValueError("embeddings must be finite")
-        # norms in float64, a block of rows at a time: no full float64 copy
+        # norms in float64, a block of rows at a time: no full float64 copy.
+        # A non-finite row has a NaN or infinite norm and fails the test too,
+        # so the whole matrix is searched for one only when a block fails.
         for lo in range(0, embeddings.shape[0], _CHECK_ROWS):
             block = embeddings[lo : lo + _CHECK_ROWS].astype(np.float64)
-            if np.any(np.abs(np.linalg.norm(block, axis=1) - 1.0) > _NORM_TOL):
+            if not np.all(np.abs(np.linalg.norm(block, axis=1) - 1.0) <= _NORM_TOL):
+                if not np.all(np.isfinite(embeddings)):
+                    raise ValueError("embeddings must be finite")
                 raise ValueError("embeddings must be unit norm within 1e-6")
         if (clusters is None) != (spec is None):
             raise ValueError("clusters and spec must be set together")
@@ -245,16 +250,32 @@ def _quantize_unit(vectors: np.ndarray) -> np.ndarray:
 
     Returns float32 rows.  Rows that already sit on the grid with near-unit
     norm pass through untouched, making export -> ingest an exact fixed
-    point.
+    point; that decision is taken over the whole matrix.
+
+    Two passes over blocks of ``_CHECK_ROWS`` rows keep every temporary
+    block-sized: the first takes the row norms and the on-grid test, the
+    second divides each block by its norms into the one float32 result.
+    Each row's norm and quotient are those of the whole-matrix expressions
+    ``np.linalg.norm(v, axis=1)`` and ``(v / norms[:, None]).astype(np.float32)``.
     """
     v = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=1)
+    count = v.shape[0]
+    norms = np.empty(count)
+    on_grid = True
+    for lo in range(0, count, _CHECK_ROWS):
+        block = v[lo : lo + _CHECK_ROWS]
+        norms[lo : lo + _CHECK_ROWS] = np.linalg.norm(block, axis=1)
+        on_grid = on_grid and np.array_equal(block.astype(np.float32), block)
     if np.any(norms < 1e-12):
         raise ValueError("zero-norm embedding rejected")
-    on_grid = v.astype(np.float32)
-    if np.array_equal(on_grid, v) and np.abs(norms - 1.0).max() < _NORM_TOL:
-        return on_grid
-    return (v / norms[:, None]).astype(np.float32)
+    if on_grid and np.abs(norms - 1.0).max() < _NORM_TOL:
+        return v.astype(np.float32)
+    out = np.empty(v.shape, dtype=np.float32)
+    for lo in range(0, count, _CHECK_ROWS):
+        part = slice(lo, lo + _CHECK_ROWS)
+        # divides in float64, then rounds each quotient to float32 once
+        np.divide(v[part], norms[part, None], out=out[part], casting="same_kind")
+    return out
 
 
 def ingest(rows, d: int | None = None) -> Store:
@@ -269,6 +290,8 @@ def ingest(rows, d: int | None = None) -> Store:
         entry_id = int(entry_id)
         if entry_id < 0:
             raise ValueError(f"ids must be non-negative, got {entry_id}")
+        if entry_id >= 1 << 64:
+            raise ValueError(f"ids must be below 2**64 (u64 on disk), got {entry_id}")
         arr = np.asarray(vec, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"vector for id {entry_id} is not 1-D")
@@ -766,11 +789,25 @@ def _packed_keys(store: Store) -> np.ndarray:
     return table[store.clusters]
 
 
+#: Bytes of records per chunk that :func:`save_store` writes and
+#: :func:`load_store` reads.
+_READ_BYTES = 1 << 20
+
+
 def save_store(store: Store, path) -> None:
-    """Serialise a preprocessed store; the write is atomic (temp + rename)."""
+    """Serialise a preprocessed store; the write is atomic (temp + rename).
+
+    The mirror of :func:`load_store`: after the header and metadata, one
+    reused buffer of ``_READ_BYTES // record size`` records is filled per
+    step, fed to the checksum's SHA-256 and written, so no file-sized copy
+    of the records is ever made.  Each step gathers its keys from the
+    packed key table of the 2**k clusters.
+    """
     if not store.clustered:
         raise ValueError("only preprocessed (clustered) stores are saved")
     spec = store.spec
+    if not 1 <= spec.k <= 16:
+        raise ValueError(f"k={spec.k} outside [1, 16]: cluster labels are u16 on disk")
     if spec.n > _MAX_KEY_BITS:
         raise ValueError(f"keys of {spec.n} bits exceed the format's {_MAX_KEY_BITS}")
     meta = spec.to_dict()
@@ -779,33 +816,34 @@ def save_store(store: Store, path) -> None:
     head = MAGIC + struct.pack(
         "<HIIQI", FORMAT_VERSION, store.d, spec.k, len(store), len(blob)
     )
-    key_bytes = (spec.n + 7) // 8
-    records = np.empty(len(store), dtype=_record_dtype(store.d, key_bytes))
-    records["id"] = store.ids
-    records["cluster"] = store.clusters.astype(np.uint16)
-    records["key"] = _packed_keys(store)
-    records["emb"] = store.embeddings
-    body = head + blob + records.tobytes()
-    checksum = _checksum(body)
+    dtype = _record_dtype(store.d, (spec.n + 7) // 8)
+    table = np.packbits(store.cluster_keys, axis=1, bitorder="little")
+    step = max(1, _READ_BYTES // dtype.itemsize)
+    buf = np.empty(min(step, len(store)), dtype=dtype)
+    digest = hashlib.sha256(head)
+    digest.update(blob)
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-            fh.write(checksum)
+            fh.write(head)
+            fh.write(blob)
+            for lo in range(0, len(store), step):
+                part = slice(lo, lo + step)
+                records = buf[: min(step, len(store) - lo)]
+                records["id"] = store.ids[part]
+                records["cluster"] = store.clusters[part]
+                records["key"] = table[store.clusters[part]]
+                records["emb"] = store.embeddings[part]
+                chunk = records.view(np.uint8)
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(digest.digest()[:8])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _checksum(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()[:8]
-
-
-#: Bytes read per chunk by :func:`load_store`.
-_READ_BYTES = 1 << 20
 
 
 def _parse_meta(path, blob: bytes) -> tuple[int | None, ecc.PolarCodeSpec]:

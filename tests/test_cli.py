@@ -71,6 +71,9 @@ def test_build_summary_and_rebuild_identical(tmp_path, capsys):
      "bd842896411607a062563d4736d33c99ddaac4dd0b43077321630434f529b3bd"),
     (["N=500", "d=8", "--k", "10", "--n", "100", "--seed", "3"],
      "d6e6eac2b0c32fca02c009adac25366677d661f440f62068451abb31777dd640"),
+    # 3 quantize blocks of _CHECK_ROWS rows, 6 record writes of _READ_BYTES
+    (["N=20000", "d=64", "--k", "10", "--n", "100"],
+     "2c69b83bdda6b3e4106082422b627d11df5dacc9c17a8cb801095318c5884214"),
 ])
 def test_build_file_bytes_pinned(tmp_path, capsys, argv, sha256):
     """Store files are pinned byte for byte (format v1), whatever dtype the
@@ -90,6 +93,20 @@ def test_build_from_csv(tmp_path, capsys):
     ])
     assert code == 0
     assert json.loads(out)["count"] == 120
+
+
+def test_build_from_csv_rejects_id_beyond_u64(tmp_path, capsys):
+    csv_path = tmp_path / "emb.csv"
+    csv_path.write_text("id,v0,v1\n1,0.6,0.8\n18446744073709551616,1.0,0.0\n")
+    code, _, err = _run(capsys, [
+        "build", "--csv", str(csv_path), "--store", str(tmp_path / "c.drew"),
+        "--k", "1", "--n", "2",
+    ])
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "DataError"
+    assert "18446744073709551616" in doc["message"]
+    assert not (tmp_path / "c.drew").exists()
 
 
 def test_build_usage_and_data_errors(tmp_path, capsys):

@@ -51,6 +51,81 @@ def test_ingest_normalizes_and_validates():
         ingest([], d=4)
 
 
+def test_ingest_rejects_ids_beyond_u64():
+    ingest([((1 << 64) - 1, np.ones(4))], d=4)
+    with pytest.raises(ValueError, match=str(1 << 64)):
+        ingest([(0, np.ones(4)), (1 << 64, np.ones(4))], d=4)
+
+
+#: Rows enough for three blocks of ``_CHECK_ROWS``, the last one partial.
+_THREE_BLOCKS = 2 * store_mod._CHECK_ROWS + 5
+
+
+def _on_grid_rows(count: int, d: int = 16) -> np.ndarray:
+    """float64 rows on the float32 grid with norms 1 + ~5e-7: unit within
+    ``_NORM_TOL``, yet far enough from 1 that normalising moves them."""
+    unit = synthetic_store(count, d, seed=4).embeddings
+    rows = (unit * np.float32(1 + 5e-7)).astype(np.float64)
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < store_mod._NORM_TOL
+    return rows
+
+
+def test_quantize_passes_on_grid_unit_rows_through():
+    """Every row already float32 and of unit norm: the matrix comes back
+    unchanged, whatever block it lies in."""
+    rows = _on_grid_rows(_THREE_BLOCKS)
+    out = store_mod._quantize_unit(rows)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, rows)
+    assert not np.array_equal(out, (rows / np.linalg.norm(rows, axis=1)[:, None]).astype(np.float32))
+
+
+def test_quantize_decides_for_the_whole_matrix():
+    """One off-grid row in the last block normalises every row, bit-equal
+    to the whole-matrix expression."""
+    rows = _on_grid_rows(_THREE_BLOCKS)
+    rows[-1, 0] += 2.0 ** -40
+    out = store_mod._quantize_unit(rows)
+    expect = (rows / np.linalg.norm(rows, axis=1)[:, None]).astype(np.float32)
+    assert np.array_equal(out.view(np.uint32), expect.view(np.uint32))
+    first = slice(0, store_mod._CHECK_ROWS)
+    assert not np.array_equal(out[first], rows[first])  # the first block moved too
+    rows[3] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        store_mod._quantize_unit(rows)
+
+
+@pytest.mark.parametrize("ids,unique", [
+    ([0, 1, 2, 3], True),
+    ([5, 9, 10, 2**64 - 1], True),
+    ([3, 0, 2, 1], True),
+    ([3, 0, 3, 1], False),
+    ([0, 1, 1, 2], False),
+    ([2, 2], False),
+])
+def test_store_duplicate_id_check(ids, unique):
+    emb = synthetic_store(len(ids), 4, seed=2).embeddings
+    if unique:
+        assert Store(np.array(ids, dtype=np.uint64), emb).ids.tolist() == ids
+    else:
+        with pytest.raises(ValueError, match="duplicate"):
+            Store(np.array(ids, dtype=np.uint64), emb)
+
+
+def test_store_reports_non_finite_rows_before_norms():
+    """A bad norm in an early block and a NaN in a later one: the NaN is
+    what is reported, as when finiteness was checked first."""
+    ids = np.arange(_THREE_BLOCKS, dtype=np.uint64)
+    emb = synthetic_store(_THREE_BLOCKS, 8, seed=2).embeddings.copy()
+    emb[0] *= 2.0
+    emb[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Store(ids, emb)
+    emb[-1, 0] = 0.5
+    with pytest.raises(ValueError, match="unit norm"):
+        Store(ids, emb)
+
+
 def test_csv_roundtrip_and_oracle(tmp_path):
     rng = substream(2, "csv")
     path = tmp_path / "emb.csv"
@@ -564,6 +639,30 @@ def test_save_rejects_unclustered(tmp_path):
     raw = _raw()
     with pytest.raises(ValueError):
         save_store(raw, tmp_path / "x.drew")
+
+
+def test_save_rejects_labels_wider_than_u16(tmp_path):
+    """k = 17 labels do not fit the file's u16 cluster field: save refuses
+    before it writes anything, rather than wrap label 70000 to 4464."""
+    raw = _raw(count=128, d=8)
+    clusters = np.zeros(len(raw), dtype=np.int32)
+    clusters[0] = 70000
+    store = Store(raw.ids, raw.embeddings, clusters=clusters,
+                  spec=ecc.construct_code(17, 128, 0.1), seed=1)
+    with pytest.raises(ValueError, match="u16"):
+        save_store(store, tmp_path / "x.drew")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("write_bytes", [1, 1000])
+def test_save_writes_records_in_chunks(tmp_path, small_store, monkeypatch, write_bytes):
+    """Records written a few at a time give the same file as the default
+    1 MB steps."""
+    whole, chunked = tmp_path / "whole.drew", tmp_path / "chunked.drew"
+    save_store(small_store, whole)
+    monkeypatch.setattr(store_mod, "_READ_BYTES", write_bytes)
+    save_store(small_store, chunked)
+    assert chunked.read_bytes() == whole.read_bytes()
 
 
 def test_load_rejects_corruption(tmp_path, small_store):
