@@ -15,13 +15,16 @@ import os
 import sys
 import tempfile
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import ecc, evaluation
+# drew.evaluation (with concurrent.futures and logging) is imported by the
+# functions that use it, so that build and query never load it.
+from . import ecc
 from .channel import AttackConfig, default_suite, load_suite
 from .pipeline import QueryConfig, batch_query, preprocess
-from .store import Store, StoreFormatError, ingest_csv, load_store, save_store
+from .store import StoreFormatError, ingest_csv, load_store, save_store
 from .synthetic import synthetic_store
 
 CURVE_HEADER = "attack,p_A,sigma,metric,value,stderr,seed"
@@ -237,41 +240,126 @@ def cmd_build(args) -> int:
 #: JSON values accepted as ``query_id`` and ``ground_truth_id``.
 _SCALARS = (str, int, float, bool, type(None))
 
-
-def _parse_key(raw, n: int) -> np.ndarray:
-    if isinstance(raw, str):
-        if len(raw) != n or set(raw) - {"0", "1"}:
-            raise ValueError(f"key must be {n} characters of 0/1")
-        return np.frombuffer(raw.encode(), dtype=np.uint8) - ord("0")
-    # exact 0/1 integers only: 0.7 or true must not pass as a bit
-    if (not isinstance(raw, list) or len(raw) != n
-            or any(type(b) is not int or b not in (0, 1) for b in raw)):
-        raise ValueError(f"key must be {n} bits")
-    return np.array(raw, dtype=np.uint8)
+#: JSON text of the constants an answer can hold.
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _parse_query_doc(doc, store: Store, naive: bool):
-    if not isinstance(doc, dict):
-        raise ValueError("query line must be a JSON object")
-    for field in ("query_id", "ground_truth_id"):
-        if not isinstance(doc.get(field), _SCALARS):
-            raise ValueError(f"{field} must be a string, number, boolean or null")
-    try:
-        emb = np.asarray(doc["embedding"], dtype=np.float64)
-    except (TypeError, OverflowError):
-        raise ValueError(f"embedding must be {store.d} finite numbers") from None
-    if emb.shape != (store.d,):
-        raise ValueError(f"embedding must have dim {store.d}")
-    norm = np.linalg.norm(emb)
-    if not np.isfinite(norm) or norm == 0.0:
-        raise ValueError("embedding must be finite and nonzero")
-    emb = emb / norm
-    key = None
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for a JSON scalar, with the encoder json uses
+    for its type."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    return json.dumps(value)
+
+
+def _check_id(field: str, value) -> None:
+    if not isinstance(value, _SCALARS):
+        raise ValueError(f"{field} must be a string, number, boolean or null")
+    if type(value) is float and not math.isfinite(value):  # NaN or Infinity: not JSON
+        raise ValueError(f"{field} must be finite")
+
+
+def _read_queries(lines, d: int, n: int, naive: bool):
+    """Parse and check query lines, one JSON object per line.
+
+    ``lines`` yields lines that end at "\n" only (stdin, or a file opened
+    with ``newline="\n"``); a CRLF line's "\r" is dropped, and a blank
+    line is skipped but counted.  A line that fails a check becomes its
+    error record, with the line's index as ``query_id`` when its own id is
+    unusable.  Returns ``(slots, qids, gts, keys, embs)``: per non-blank
+    line, its error line or None, then the good lines' ids, ground truths,
+    (B, n) uint8 keys (None if ``naive``) and (B, d) unit embeddings.  Each
+    embedding is divided by its norm ``sqrt(e . e)``, which is
+    ``np.linalg.norm(e)`` of a 1-D float64 vector.
+    """
+    slots: list[str | None] = []
+    qids, gts, embs, norms = [], [], [], []
+    str_keys, str_at, list_keys, list_at = [], [], [], []
+    for i, line in enumerate(lines):
+        qid = i
+        try:
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            doc = json.loads(line)
+            if type(doc) is not dict:
+                raise ValueError("query line must be a JSON object")
+            value = doc.get("query_id", i)
+            _check_id("query_id", value)
+            qid = value
+            gt = doc.get("ground_truth_id")
+            _check_id("ground_truth_id", gt)
+            try:
+                emb = np.asarray(doc["embedding"], dtype=np.float64)
+            except (TypeError, OverflowError):
+                raise ValueError(f"embedding must be {d} finite numbers") from None
+            if emb.shape != (d,):
+                raise ValueError(f"embedding must have dim {d}")
+            norm = math.sqrt(emb.dot(emb))
+            if not math.isfinite(norm) or norm == 0.0:
+                raise ValueError("embedding must be finite and nonzero")
+            if not naive:
+                if "key" not in doc:
+                    raise ValueError("drew queries need a 'key' field (or use --naive)")
+                key = doc["key"]
+                if type(key) is str:
+                    # n characters, each 0 or 1 (as key.strip("01") == "", but faster)
+                    if len(key) != n or key.count("0") + key.count("1") != n:
+                        raise ValueError(f"key must be {n} characters of 0/1")
+                    str_at.append(len(embs))
+                    str_keys.append(key)
+                # exact 0/1 integers only: 0.7 or true must not pass as a bit
+                elif (type(key) is not list or len(key) != n
+                        or any(type(b) is not int or b not in (0, 1) for b in key)):
+                    raise ValueError(f"key must be {n} bits")
+                else:
+                    list_at.append(len(embs))
+                    list_keys.append(key)
+        except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
+            slots.append(json.dumps({"query_id": qid, "error": str(exc)}, sort_keys=True))
+            continue
+        slots.append(None)
+        qids.append(qid)
+        gts.append(gt)
+        embs.append(emb)
+        norms.append(norm)
+
+    count = len(embs)
+    embs = np.stack(embs) if count else np.empty((0, d))
+    # one division per element, as emb / norm row by row
+    embs /= np.array(norms)[:, None]
+    keys = None
     if not naive:
-        if "key" not in doc:
-            raise ValueError("drew queries need a 'key' field (or use --naive)")
-        key = _parse_key(doc["key"], store.spec.n)
-    return key, emb, doc.get("ground_truth_id")
+        keys = np.empty((count, n), dtype=np.uint8)
+        if str_keys:
+            chars = np.frombuffer("".join(str_keys).encode("ascii"), dtype=np.uint8)
+            keys[str_at] = chars.reshape(-1, n) - ord("0")
+        if list_keys:
+            keys[list_at] = np.array(list_keys, dtype=np.uint8)
+    return slots, qids, gts, keys, embs
+
+
+def _answer_lines(slots, results, qids, gts) -> list[str]:
+    """Output lines in input order: each answer from one template, in the
+    form ``json.dumps(answer, sort_keys=True)`` writes, and each error line
+    in its slot."""
+    # matched_id and scope_size are ints, decoded_code an int or None and
+    # reliable a bool or None (QueryResult); str() of an int is its repr
+    answers = iter([
+        f'{{"decoded_code": {"null" if r.decoded_code is None else r.decoded_code}, '
+        f'"ground_truth_id": {_json_scalar(gt)}, "matched_id": {r.matched_id}, '
+        f'"query_id": {_json_scalar(qid)}, "reliable": {_CONSTANTS[r.reliable]}, '
+        f'"scope_size": {r.scope_size}, "similarity": {_json_scalar(r.similarity)}}}'
+        for r, qid, gt in zip(results, qids, gts)
+    ])
+    return [next(answers) if slot is None else slot for slot in slots]
 
 
 def cmd_query(args) -> int:
@@ -281,52 +369,18 @@ def cmd_query(args) -> int:
         raise UsageError("query needs --store")
     store = load_store(store_path)
     cfg = _query_config(args, config)
+    shape = (store.d, store.spec.n, args.naive)
 
     if args.queries == "-":
-        lines = sys.stdin.read().splitlines()
+        slots, qids, gts, keys, embs = _read_queries(sys.stdin, *shape)
     else:
         if not os.path.exists(args.queries):
             raise DataError(f"query file not found: {args.queries}")
-        with open(args.queries, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(args.queries, encoding="utf-8", newline="\n") as fh:
+            slots, qids, gts, keys, embs = _read_queries(fh, *shape)
 
-    parsed = []
-    records: list[dict | None] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        qid = i
-        try:
-            doc = json.loads(line)
-            if isinstance(doc, dict) and isinstance(doc.get("query_id", i), _SCALARS):
-                qid = doc.get("query_id", i)
-            parsed.append((qid, *_parse_query_doc(doc, store, args.naive)))
-            records.append(None)
-        except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
-            records.append({"query_id": qid, "error": str(exc)})
-            parsed.append(None)
-
-    good = [p for p in parsed if p is not None]
-    if good:
-        embs = np.stack([p[2] for p in good])
-        keys = None if args.naive else np.stack([p[1] for p in good])
-        results = batch_query(store, keys, embs, cfg, naive=args.naive)
-    else:
-        results = []
-
-    it = iter(results)
-    good_it = iter(good)
-    out_lines = []
-    for rec, p in zip(records, parsed):
-        if rec is not None:
-            out_lines.append(json.dumps(rec, sort_keys=True))
-            continue
-        qid, _, _, gt = next(good_it)
-        res = next(it)
-        doc = res.to_dict()
-        doc["query_id"] = qid
-        doc["ground_truth_id"] = gt
-        out_lines.append(json.dumps(doc, sort_keys=True))
+    results = batch_query(store, keys, embs, cfg, naive=args.naive) if qids else []
+    out_lines = _answer_lines(slots, results, qids, gts)
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
@@ -357,6 +411,8 @@ def _load_golden(path: str | None) -> dict | None:
 
 
 def _stage_accuracy(store, suite, cfg, n_queries, seed, workers):
+    from . import evaluation
+
     report = evaluation.run_accuracy_eval(
         store, suite, cfg, n_queries, seed, workers=workers
     )
@@ -386,6 +442,8 @@ def _stage_accuracy(store, suite, cfg, n_queries, seed, workers):
 
 def _stage_epsilon(store, golden, out_dir, seed, n_trials, cfg):
     """Golden-number check; returns (section, rows, violations, missing)."""
+    from . import evaluation
+
     spec = store.spec
     if golden is None:
         grid = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
@@ -429,6 +487,8 @@ def _stage_epsilon(store, golden, out_dir, seed, n_trials, cfg):
 
 
 def _stage_lemma1(store, n_queries, seed):
+    from . import evaluation
+
     attack = AttackConfig(name="lemma-regime", p_a=0.0, sigma=0.45)
     rec = evaluation.lemma1_check(
         store, attack, store.spec.k, (2, 5, 10, 20), n_queries, seed
@@ -438,6 +498,8 @@ def _stage_lemma1(store, n_queries, seed):
 
 
 def _stage_roc(store, suite, cfg, seed, n_in, n_out, attack_name):
+    from . import evaluation
+
     by_name = {a.name: a for a in suite}
     if attack_name not in by_name:
         raise UsageError(f"--roc-attack {attack_name!r} is not in the suite")
@@ -459,6 +521,8 @@ def _stage_roc(store, suite, cfg, seed, n_in, n_out, attack_name):
 
 
 def _stage_subset(store, seed, n_queries):
+    from . import evaluation
+
     attack = AttackConfig(name="subset-regime", p_a=0.0, sigma=0.5)
     k_grid = [0, 2, 4, 6, 8, 10, 12]
     rows = evaluation.cluster_subset_accuracy(store, attack, k_grid, n_queries, seed)
@@ -475,6 +539,8 @@ def _stage_subset(store, seed, n_queries):
 
 
 def _capacity_rows(grid, seed) -> tuple[list[dict], list[tuple]]:
+    from . import evaluation
+
     table = evaluation.capacity_curve(grid)
     curve = []
     for row in table:
@@ -616,6 +682,8 @@ def cmd_capacity_curve(args) -> int:
 
 
 def cmd_ecc_bench(args) -> int:
+    from . import evaluation
+
     config = _load_config(args.config)
     seed = int(_setting(args, config, "seed"))
     k = int(_setting(args, config, "k"))

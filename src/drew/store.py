@@ -141,22 +141,35 @@ class Store:
                 if not np.all(np.isfinite(embeddings)):
                     raise ValueError("embeddings must be finite")
                 raise ValueError("embeddings must be unit norm within 1e-6")
+        self.ids = ids
+        self.embeddings = embeddings
+        self._partition(clusters, spec, seed)
+
+    def _partition(self, clusters, spec, seed) -> None:
+        """Check and set the cluster labels of the rows; construction only."""
         if (clusters is None) != (spec is None):
             raise ValueError("clusters and spec must be set together")
         if clusters is not None:
             clusters = np.asarray(clusters, dtype=np.int32)
-            if clusters.shape != (embeddings.shape[0],):
+            if clusters.shape != self.ids.shape:
                 raise ValueError("clusters length must equal N")
             if clusters.size and (clusters.min(initial=0) < 0 or clusters.max(initial=0) >= (1 << spec.k)):
                 raise ValueError("cluster labels out of range for spec.k")
-        self.ids = ids
-        self.embeddings = embeddings
         self.clusters = clusters
         self.spec = spec
         self.seed = seed
         self._by_id = None
         self._members = None
         self._keys = None
+
+    def _with_partition(self, clusters, spec, seed) -> Store:
+        """A new store over these rows, which this store's construction has
+        validated, with new cluster labels; only the labels are checked."""
+        store = object.__new__(Store)
+        store.ids = self.ids
+        store.embeddings = self.embeddings
+        store._partition(clusters, spec, seed)
+        return store
 
     # -- basic accessors ----------------------------------------------------
 
@@ -233,9 +246,10 @@ def csr_index(labels: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     sorted by label, plus ``count + 1`` offsets, so the rows of label ``c``
     are ``order[offsets[c] : offsets[c + 1]]``.
 
-    The stable sort keeps each label's rows ascending.
+    The stable sort keeps each label's rows ascending; labels below 2**16
+    are sorted as uint16, which numpy's stable sort radix-sorts.
     """
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(labels.astype(np.uint16) if count <= 1 << 16 else labels, kind="stable")
     offsets = np.zeros(count + 1, dtype=np.intp)
     np.cumsum(np.bincount(labels, minlength=count), out=offsets[1:])
     return order, offsets
@@ -353,9 +367,10 @@ def export_csv(store: Store, path) -> None:
 def assign_clusters(store: Store, k: int, seed: int, spec: ecc.PolarCodeSpec) -> Store:
     """Partition the store into 2**k clusters, i.i.d. uniform per entry.
 
-    Returns a new frozen store; the input store is untouched.  Labels come
-    from the ``assign-clusters`` substream of ``seed`` and are persisted
-    with the store, so reproducibility never depends on re-drawing them.
+    Returns a new frozen store over the input store's rows, which are not
+    validated again; the input store is untouched.  Labels come from the
+    ``assign-clusters`` substream of ``seed`` and are persisted with the
+    store, so reproducibility never depends on re-drawing them.
     """
     if spec.k != k:
         raise ValueError(f"spec.k={spec.k} does not match k={k}")
@@ -363,13 +378,7 @@ def assign_clusters(store: Store, k: int, seed: int, spec: ecc.PolarCodeSpec) ->
         raise ValueError("k must lie in [1, 16] (cluster labels are u16 on disk)")
     rng = substream(seed, "assign-clusters")
     labels = rng.integers(0, 1 << k, size=len(store)).astype(np.int32)
-    return Store(
-        ids=store.ids,
-        embeddings=store.embeddings,
-        clusters=labels,
-        spec=spec,
-        seed=int(seed),
-    )
+    return store._with_partition(labels, spec, int(seed))
 
 
 # ---------------------------------------------------------------------------

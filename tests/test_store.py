@@ -176,6 +176,35 @@ def test_assign_clusters_domain_and_determinism():
     assert not np.array_equal(a.clusters, c.clusters)
 
 
+def test_assign_clusters_checks_labels_not_rows(monkeypatch):
+    """assign_clusters reuses the rows its input store validated (no second
+    norm pass) and still rejects labels outside [0, 2**k)."""
+    raw = _raw(count=64, d=8)
+    spec = ecc.construct_code(3, 8, 0.1)
+    norm = np.linalg.norm
+    calls = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+    store = assign_clusters(raw, 3, seed=9, spec=spec)
+    assert calls == []
+    assert store.ids is raw.ids and store.embeddings is raw.embeddings
+    assert store.spec == spec and store.seed == 9 and raw.clusters is None
+    monkeypatch.undo()
+
+    class OneBadLabel:
+        def __init__(self, label):
+            self.label = label
+
+        def integers(self, low, high, size):
+            out = np.zeros(size, dtype=np.int64)
+            out[-1] = self.label
+            return out
+
+    for label in (8, -1):
+        monkeypatch.setattr(store_mod, "substream", lambda seed, name: OneBadLabel(label))
+        with pytest.raises(ValueError, match="out of range"):
+            assign_clusters(raw, 3, seed=9, spec=spec)
+
+
 def test_cluster_sizes_balls_in_bins():
     raw = synthetic_store(2048, 8, seed=3)
     spec = ecc.construct_code(10, 100, 0.1)
