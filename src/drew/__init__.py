@@ -10,10 +10,9 @@ from .channel import (
     AttackStreams,
     Query,
     apply_attack,
+    attack_rows,
     default_suite,
-    flip_bits,
     load_suite,
-    perturb_embedding,
 )
 from .ecc import (
     KNOWN_BIT_LLR,
@@ -21,14 +20,13 @@ from .ecc import (
     PolarCodeSpec,
     binary_entropy,
     capacity_rate,
-    code_to_int,
+    codes_to_ints,
     construct_code,
     decode,
     decode_batch,
     encode,
     encode_all,
-    int_to_code,
-    llr_from_key,
+    llr_from_keys,
     max_tolerable_flip_rate,
     polar_transform,
 )

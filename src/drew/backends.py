@@ -258,11 +258,6 @@ def _one_frame_tree(frozen_bytes: bytes, m: int) -> _Tree:
     return tree
 
 
-def active_backend() -> str:
-    """Name of the decode kernel, for benchmark reports; numpy is the only one."""
-    return "numpy"
-
-
 def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
     """Successive-cancellation decode of a batch of LLR frames.
 

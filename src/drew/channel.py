@@ -80,38 +80,27 @@ class AttackStreams:
         )
 
 
-def flip_bits(key: np.ndarray, p_a: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability ``p_a``."""
-    if not 0.0 <= p_a <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p_a}")
-    bits = np.asarray(key, dtype=np.uint8)
-    if p_a == 0.0:
-        return bits.copy()
-    mask = (rng.random(bits.shape) < p_a).astype(np.uint8)
-    return bits ^ mask
+def attack_rows(
+    keys: np.ndarray, embs: np.ndarray, attack: AttackConfig, streams: AttackStreams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push rows of stored items through one attack's channel.
 
-
-def perturb_embedding(e: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Return normalize(e + sigma * g) with g i.i.d. standard normal."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    vec = np.asarray(e, dtype=np.float64)
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError("embedding must be unit norm")
-    if sigma == 0.0:
-        return vec.copy()
-    # einsum keeps the norm's summation order identical to the batched
-    # (n, d) evaluation path, so batch and per-query outputs match bitwise
-    out = vec + sigma * rng.standard_normal(vec.shape)
-    nrm = float(np.sqrt(np.einsum("d,d->", out, out)))
-    if nrm < 1e-12:
-        # essentially impossible; one resample keeps the output well defined
-        out = vec + sigma * rng.standard_normal(vec.shape)
-        nrm = float(np.sqrt(np.einsum("d,d->", out, out)))
-        if nrm < 1e-12:
-            raise ValueError("degenerate perturbation, zero norm")
-    return out / nrm
+    ``keys`` is a (B, n) bit matrix and ``embs`` a (B, d) matrix of unit
+    embeddings.  Each key bit flips with probability ``p_a``, drawn as
+    ``streams.key.random < p_a``; each embedding becomes
+    ``normalize(e + sigma * g)`` with g drawn by
+    ``streams.embedding.standard_normal``.  A knob at zero draws nothing.
+    Rows draw in order, so B one-row calls equal one B-row call bit for
+    bit.  Returns new ``(keys, embs)`` arrays, uint8 and float64.
+    """
+    keys = np.array(keys, dtype=np.uint8)
+    embs = np.array(embs, dtype=np.float64)
+    if attack.p_a > 0.0:
+        keys ^= (streams.key.random(keys.shape) < attack.p_a).astype(np.uint8)
+    if attack.sigma > 0.0:
+        embs += attack.sigma * streams.embedding.standard_normal(embs.shape)
+        embs /= np.sqrt(np.einsum("nd,nd->n", embs, embs))[:, None]
+    return keys, embs
 
 
 def apply_attack(
@@ -124,7 +113,8 @@ def apply_attack(
     """Produce the query an attacked item (or a fresh one) generates.
 
     For in-dataset attacks ``entry`` must be a preprocessed store entry (its
-    key carries the cluster watermark).  For out-of-dataset attacks the
+    key carries the cluster watermark), attacked by a one-row
+    :func:`attack_rows` call.  For out-of-dataset attacks the
     embedding is drawn from ``heldout_pool`` and the observed key is uniform
     random bits: no watermark is present.
     """
@@ -143,9 +133,8 @@ def apply_attack(
         raise ValueError("in-dataset attack needs a store entry")
     if entry.key is None:
         raise ValueError("entry has no injected key; preprocess the store first")
-    key = flip_bits(entry.key, attack.p_a, streams.key)
-    emb = perturb_embedding(entry.embedding, attack.sigma, streams.embedding)
-    return Query(observed_key=key, observed_embedding=emb, ground_truth_id=int(entry.id))
+    keys, embs = attack_rows([entry.key], [entry.embedding], attack, streams)
+    return Query(observed_key=keys[0], observed_embedding=embs[0], ground_truth_id=int(entry.id))
 
 
 # ---------------------------------------------------------------------------

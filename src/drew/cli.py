@@ -48,14 +48,6 @@ class DataError(CliError):
     exit_code = 2
 
 
-class AcceptanceError(CliError):
-    exit_code = 3
-
-
-class CalibrationRequired(CliError):
-    exit_code = 4
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -137,6 +129,15 @@ def _write_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_out(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout when ``path`` is None or "-", else atomically
+    to ``path``."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        _write_atomic(path, text)
 
 
 def _json_text(doc) -> str:
@@ -282,54 +283,57 @@ def _read_queries(lines, d: int, n: int, naive: bool):
     slots: list[str | None] = []
     qids, gts, embs, norms = [], [], [], []
     str_keys, str_at, list_keys, list_at = [], [], [], []
-    for i, line in enumerate(lines):
-        qid = i
-        try:
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            if type(doc) is not dict:
-                raise ValueError("query line must be a JSON object")
-            value = doc.get("query_id", i)
-            _check_id("query_id", value)
-            qid = value
-            gt = doc.get("ground_truth_id")
-            _check_id("ground_truth_id", gt)
+    # a huge entry overflows e . e to inf, which the norm check turns into
+    # the line's error record; numpy must not also warn on stderr
+    with np.errstate(over="ignore"):
+        for i, line in enumerate(lines):
+            qid = i
             try:
-                emb = np.asarray(doc["embedding"], dtype=np.float64)
-            except (TypeError, OverflowError):
-                raise ValueError(f"embedding must be {d} finite numbers") from None
-            if emb.shape != (d,):
-                raise ValueError(f"embedding must have dim {d}")
-            norm = math.sqrt(emb.dot(emb))
-            if not math.isfinite(norm) or norm == 0.0:
-                raise ValueError("embedding must be finite and nonzero")
-            if not naive:
-                if "key" not in doc:
-                    raise ValueError("drew queries need a 'key' field (or use --naive)")
-                key = doc["key"]
-                if type(key) is str:
-                    # n characters, each 0 or 1 (as key.strip("01") == "", but faster)
-                    if len(key) != n or key.count("0") + key.count("1") != n:
-                        raise ValueError(f"key must be {n} characters of 0/1")
-                    str_at.append(len(embs))
-                    str_keys.append(key)
-                # exact 0/1 integers only: 0.7 or true must not pass as a bit
-                elif (type(key) is not list or len(key) != n
-                        or any(type(b) is not int or b not in (0, 1) for b in key)):
-                    raise ValueError(f"key must be {n} bits")
-                else:
-                    list_at.append(len(embs))
-                    list_keys.append(key)
-        except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
-            slots.append(json.dumps({"query_id": qid, "error": str(exc)}, sort_keys=True))
-            continue
-        slots.append(None)
-        qids.append(qid)
-        gts.append(gt)
-        embs.append(emb)
-        norms.append(norm)
+                line = line.rstrip("\r\n")
+                if not line.strip():
+                    continue
+                doc = json.loads(line)
+                if type(doc) is not dict:
+                    raise ValueError("query line must be a JSON object")
+                value = doc.get("query_id", i)
+                _check_id("query_id", value)
+                qid = value
+                gt = doc.get("ground_truth_id")
+                _check_id("ground_truth_id", gt)
+                try:
+                    emb = np.asarray(doc["embedding"], dtype=np.float64)
+                except (TypeError, OverflowError):
+                    raise ValueError(f"embedding must be {d} finite numbers") from None
+                if emb.shape != (d,):
+                    raise ValueError(f"embedding must have dim {d}")
+                norm = math.sqrt(emb.dot(emb))
+                if not math.isfinite(norm) or norm == 0.0:
+                    raise ValueError("embedding must be finite and nonzero")
+                if not naive:
+                    if "key" not in doc:
+                        raise ValueError("drew queries need a 'key' field (or use --naive)")
+                    key = doc["key"]
+                    if type(key) is str:
+                        # n characters, each 0 or 1 (as key.strip("01") == "", but faster)
+                        if len(key) != n or key.count("0") + key.count("1") != n:
+                            raise ValueError(f"key must be {n} characters of 0/1")
+                        str_at.append(len(embs))
+                        str_keys.append(key)
+                    # exact 0/1 integers only: 0.7 or true must not pass as a bit
+                    elif (type(key) is not list or len(key) != n
+                            or any(type(b) is not int or b not in (0, 1) for b in key)):
+                        raise ValueError(f"key must be {n} bits")
+                    else:
+                        list_at.append(len(embs))
+                        list_keys.append(key)
+            except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
+                slots.append(json.dumps({"query_id": qid, "error": str(exc)}, sort_keys=True))
+                continue
+            slots.append(None)
+            qids.append(qid)
+            gts.append(gt)
+            embs.append(emb)
+            norms.append(norm)
 
     count = len(embs)
     embs = np.stack(embs) if count else np.empty((0, d))
@@ -381,11 +385,7 @@ def cmd_query(args) -> int:
 
     results = batch_query(store, keys, embs, cfg, naive=args.naive) if qids else []
     out_lines = _answer_lines(slots, results, qids, gts)
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, text)
+    _write_out(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     return 0
 
 
@@ -673,11 +673,7 @@ def cmd_capacity_curve(args) -> int:
     if any(p < 0.0 or p > 0.5 for p in grid):
         raise UsageError("capacity grid must lie within [0, 0.5]")
     _, rows = _capacity_rows(grid, seed)
-    text = _curve_text(rows)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, text)
+    _write_out(args.out, _curve_text(rows))
     return 0
 
 
@@ -699,11 +695,7 @@ def cmd_ecc_bench(args) -> int:
             ("-", r["p_A"], 0.0, "p_reliable", r["p_reliable"],
              _binom_se(r["p_reliable"], r["frames"]), seed)
         )
-    text = _curve_text(curve)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_atomic(args.out, text)
+    _write_out(args.out, _curve_text(curve))
     return 0
 
 

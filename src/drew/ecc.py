@@ -9,7 +9,6 @@ capacity ``1 - H(p)``.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -79,9 +78,6 @@ class PolarCodeSpec:
             "shortened_set": list(self.shortened_set),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "PolarCodeSpec":
         return cls(
@@ -92,10 +88,6 @@ class PolarCodeSpec:
             frozen_set=tuple(int(i) for i in doc["frozen_set"]),
             shortened_set=tuple(int(i) for i in doc["shortened_set"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolarCodeSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def bhattacharyya_profile(block_len: int, design_p: float) -> np.ndarray:
@@ -148,20 +140,6 @@ def construct_code(k: int, n: int, design_p: float) -> PolarCodeSpec:
 # message <-> bits helpers
 # ---------------------------------------------------------------------------
 
-def int_to_code(value: int, k: int) -> np.ndarray:
-    """k-bit binary representation of ``value``, most significant bit first."""
-    if not 0 <= value < (1 << k):
-        raise ValueError(f"value {value} out of range for {k} bits")
-    return np.array([(value >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.uint8)
-
-def code_to_int(bits: np.ndarray) -> int:
-    bits = np.asarray(bits)
-    out = 0
-    for b in bits.tolist():
-        out = (out << 1) | int(b)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _bit_weights(k: int) -> np.ndarray:
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -170,7 +148,8 @@ def _bit_weights(k: int) -> np.ndarray:
 
 
 def codes_to_ints(codes: np.ndarray) -> np.ndarray:
-    """Vectorised code_to_int over rows of a (B, k) bit matrix."""
+    """Integer value of each row of a (B, k) bit matrix, most significant
+    bit first."""
     codes = np.asarray(codes, dtype=np.int64)
     return codes @ _bit_weights(codes.shape[-1])
 
@@ -249,18 +228,13 @@ class DecodeOutcome:
 RELIABILITY_MODES = ("last-bit", "min-bit")
 
 
-def llr_from_key(spec: PolarCodeSpec, key: np.ndarray, channel_p: float) -> np.ndarray:
-    """Channel LLRs for an observed key under an i.i.d. flip model.
+def llr_from_keys(spec: PolarCodeSpec, keys: np.ndarray, channel_p: float) -> np.ndarray:
+    """Channel LLRs for a (B, n) batch of observed keys under an i.i.d. flip
+    model, one (block_len,) frame per key.
 
     Observed bit y contributes ``(1 - 2y) * ln((1-p)/p)``; the shortened
     positions are known zeros and enter at ``KNOWN_BIT_LLR``.
     """
-    keys = np.atleast_2d(np.asarray(key))
-    out = llr_from_keys(spec, keys, channel_p)
-    return out[0] if np.asarray(key).ndim == 1 else out
-
-
-def llr_from_keys(spec: PolarCodeSpec, keys: np.ndarray, channel_p: float) -> np.ndarray:
     if not 0.0 < channel_p < 0.5:
         raise ValueError(f"channel_p must lie in (0, 0.5), got {channel_p}")
     bits = _check_bits(keys, spec.n, "key")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ecc
-from .channel import AttackConfig, AttackStreams, apply_attack
+from .channel import AttackConfig, AttackStreams, apply_attack, attack_rows
 from .pipeline import NO_MATCH, QueryConfig, batch_query, decode_scopes, route_and_scan
 from .rng import substream
 from .store import Store, csr_index, scan_ranks
@@ -31,30 +31,22 @@ REDUNDANCY_CAP = 1.0e6
 
 
 # ---------------------------------------------------------------------------
-# query synthesis (batched twin of apply_attack)
+# query synthesis
 # ---------------------------------------------------------------------------
 
 def _attack_queries(store: Store, attack: AttackConfig, n_queries: int, seed: int):
-    """Sample entries and push them through the attack channel, batched.
+    """Sample entries and push them through the attack channel.
 
-    Draws follow the exact same substreams and order as mapping
-    :func:`drew.channel.apply_attack` over the sample, so per-query and
-    batched evaluations are bit-identical.
+    One :func:`drew.channel.attack_rows` call over the sample, so the
+    queries equal those of :func:`drew.channel.apply_attack` mapped over it.
     """
     if attack.out_of_dataset:
         raise ValueError("accuracy evaluation needs in-dataset attacks")
     smp = substream(seed, f"sample/{attack.name}")
     gt_idx = smp.integers(0, len(store), size=n_queries)
     streams = AttackStreams.for_attack(seed, attack.name)
-    keys = store.cluster_keys[store.clusters[gt_idx]]
-    if attack.p_a > 0.0:
-        mask = (streams.key.random(keys.shape) < attack.p_a).astype(np.uint8)
-        keys = keys ^ mask
-    embs = store.embeddings[gt_idx].astype(np.float64)
-    if attack.sigma > 0.0:
-        embs = embs + attack.sigma * streams.embedding.standard_normal(embs.shape)
-        norms = np.sqrt(np.einsum("nd,nd->n", embs, embs))
-        embs = embs / norms[:, None]
+    keys, embs = attack_rows(store.cluster_keys[store.clusters[gt_idx]],
+                             store.embeddings[gt_idx], attack, streams)
     return keys, embs, gt_idx
 
 

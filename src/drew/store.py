@@ -87,15 +87,8 @@ _NORM_TOL = 1e-6
 _CHECK_ROWS = 1 << 13
 
 
-class _FullScope:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "FULL"
-
-
-#: Scope sentinel: scan the whole store instead of one cluster.
-FULL = _FullScope()
+#: Scope label of the whole store, as opposed to one cluster's label.
+FULL = -1
 
 
 class StoreFormatError(Exception):
@@ -408,10 +401,10 @@ def top_matches(store: Store, scope, q: np.ndarray, p: int = 1) -> list[tuple[in
     if p < 1:
         raise ValueError("p must be >= 1")
     vec = _check_query_vector(store, q)
-    if isinstance(scope, _FullScope):
+    cluster = int(scope)
+    if cluster == FULL:
         mat, ids = store.embeddings, store.ids
     else:
-        cluster = int(scope)
         if store.spec is None:
             raise ValueError("store has no cluster partition yet")
         if not 0 <= cluster < (1 << store.spec.k):

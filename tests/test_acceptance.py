@@ -77,12 +77,12 @@ def test_criterion_01_sc_vs_exhaustive_ml(capsys):
         # the rate-1/4 repetition shape corrects every single flip
         spec = ecc.construct_code(1, 4, 0.1)
         for code in (0, 1):
-            key = ecc.encode(spec, ecc.int_to_code(code, 1))
+            key = ecc.encode_all(spec)[code]
             for i in range(4):
                 noisy = key.copy()
                 noisy[i] ^= 1
-                out = ecc.decode(spec, ecc.llr_from_key(spec, noisy, 0.1))
-                assert ecc.code_to_int(out.code) == code
+                out = ecc.decode(spec, ecc.llr_from_keys(spec, noisy[None], 0.1)[0])
+                assert ecc.codes_to_ints(out.code) == code
 
     _criterion(capsys, 1, "SC frame error within 2x of exhaustive ML", 1.0, body)
 

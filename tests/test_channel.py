@@ -10,10 +10,9 @@ from drew.channel import (
     AttackConfig,
     AttackStreams,
     apply_attack,
+    attack_rows,
     default_suite,
-    flip_bits,
     parse_suite,
-    perturb_embedding,
 )
 from drew.rng import substream
 from drew.store import StoreEntry
@@ -23,47 +22,50 @@ from drew.store import StoreEntry
 PERTURB_COSINE_ORACLE = 0.24165
 
 
-def test_flip_bits_identity_and_complement():
-    rng = substream(1, "flip")
-    key = rng.integers(0, 2, size=100).astype(np.uint8)
-    same = flip_bits(key, 0.0, substream(1, "a"))
-    assert np.array_equal(same, key) and same is not key
-    flipped = flip_bits(key, 1.0, substream(1, "b"))
-    assert np.array_equal(flipped, 1 - key)
-    assert np.array_equal(flip_bits(flipped, 1.0, substream(1, "c")), key)
+def _unit_rows(seed: int, count: int, d: int = 64) -> np.ndarray:
+    rows = substream(seed, "rows").standard_normal((count, d))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def test_attack_rows_identity_at_zero_knobs():
+    keys = substream(1, "flip").integers(0, 2, size=(8, 100)).astype(np.uint8)
+    embs = _unit_rows(1, 8)
+    streams = AttackStreams.for_attack(1, "zero")
+    out_keys, out_embs = attack_rows(keys, embs, AttackConfig("zero", 0.0, 0.0), streams)
+    assert np.array_equal(out_keys, keys) and np.array_equal(out_embs, embs)
+    assert not np.shares_memory(out_keys, keys) and not np.shares_memory(out_embs, embs)
+    # a knob at zero draws nothing from its stream
+    fresh = AttackStreams.for_attack(1, "zero")
+    assert streams.key.random() == fresh.key.random()
+    assert streams.embedding.random() == fresh.embedding.random()
 
 
 def test_flip_bits_mean_hamming_distance():
-    rng = substream(2, "hamming")
-    key = np.zeros(100, dtype=np.uint8)
-    dist = 0
-    trials = 10_000
-    for _ in range(trials):
-        dist += int(flip_bits(key, 0.1, rng).sum())
-    assert abs(dist / trials - 10.0) <= 0.3
+    keys = np.zeros((10_000, 100), dtype=np.uint8)
+    embs = _unit_rows(2, 10_000, d=4)
+    out, _ = attack_rows(keys, embs, AttackConfig("hamming", 0.1, 0.0),
+                         AttackStreams.for_attack(2, "hamming"))
+    assert abs(out.sum(axis=1).mean() - 10.0) <= 0.3
 
 
 def test_perturb_embedding_properties():
-    rng = substream(3, "perturb")
-    e = rng.standard_normal(64)
-    e /= np.linalg.norm(e)
-    assert np.array_equal(perturb_embedding(e, 0.0, rng), e)
+    keys = np.zeros((20, 8), dtype=np.uint8)
+    embs = _unit_rows(3, 20)
     for sigma in (0.1, 0.5, 3.0):
-        out = perturb_embedding(e, sigma, rng)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-6
-    with pytest.raises(ValueError):
-        perturb_embedding(2.0 * e, 0.1, rng)
+        _, out = attack_rows(keys, embs, AttackConfig("perturb", 0.0, sigma),
+                             AttackStreams.for_attack(3, "perturb"))
+        assert out.dtype == np.float64 and not np.array_equal(out, embs)
+        assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) < 1e-6)
 
 
 def test_perturb_embedding_mean_cosine_matches_oracle():
-    rng = substream(4, "cosine")
     e = np.zeros(64)
     e[0] = 1.0
-    total = 0.0
-    trials = 10_000
-    for _ in range(trials):
-        total += float(perturb_embedding(e, 0.5, rng) @ e)
-    assert abs(total / trials - PERTURB_COSINE_ORACLE) < 0.02
+    embs = np.tile(e, (10_000, 1))
+    keys = np.zeros((10_000, 8), dtype=np.uint8)
+    _, out = attack_rows(keys, embs, AttackConfig("cosine", 0.0, 0.5),
+                         AttackStreams.for_attack(4, "cosine"))
+    assert abs(float((out @ e).mean()) - PERTURB_COSINE_ORACLE) < 0.02
 
 
 def _entry(seed: int = 9, d: int = 16, n: int = 32) -> StoreEntry:
@@ -109,16 +111,20 @@ def test_apply_attack_requires_key():
 
 
 def test_key_and_embedding_streams_are_independent():
-    entry = _entry()
-    qa = apply_attack(entry, AttackConfig("atk", 0.3, 0.0),
-                      AttackStreams.for_attack(21, "atk"))
-    qb = apply_attack(entry, AttackConfig("atk", 0.3, 0.7),
-                      AttackStreams.for_attack(21, "atk"))
+    keys = substream(21, "keys").integers(0, 2, size=(30, 32)).astype(np.uint8)
+    embs = _unit_rows(21, 30, d=16)
+
+    def run(p_a, sigma):
+        return attack_rows(keys, embs, AttackConfig("atk", p_a, sigma),
+                           AttackStreams.for_attack(21, "atk"))
+
+    keys_a, _ = run(0.3, 0.0)
+    keys_b, embs_b = run(0.3, 0.7)
     # changing sigma must not change which bits flipped
-    assert np.array_equal(qa.observed_key, qb.observed_key)
-    qc = apply_attack(entry, AttackConfig("atk", 0.3, 0.7),
-                      AttackStreams.for_attack(21, "atk"))
-    assert np.array_equal(qb.observed_embedding, qc.observed_embedding)
+    assert np.array_equal(keys_a, keys_b)
+    # nor p_A the embedding noise
+    _, embs_c = run(0.0, 0.7)
+    assert np.array_equal(embs_b, embs_c)
 
 
 def test_identical_seeds_give_identical_query_streams():

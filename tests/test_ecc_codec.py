@@ -48,12 +48,12 @@ def test_sc_matches_ml_oracle_on_tiny_codes():
 def test_repetition_code_corrects_every_single_flip():
     spec = ecc.construct_code(1, 4, 0.1)
     for code in (0, 1):
-        key = ecc.encode(spec, ecc.int_to_code(code, 1))
+        key = ecc.encode_all(spec)[code]
         for i in range(4):
             noisy = key.copy()
             noisy[i] ^= 1
-            out = ecc.decode(spec, ecc.llr_from_key(spec, noisy, 0.1))
-            assert ecc.code_to_int(out.code) == code
+            out = ecc.decode(spec, ecc.llr_from_keys(spec, noisy[None], 0.1)[0])
+            assert ecc.codes_to_ints(out.code) == code
 
 
 def test_roundtrip_many_random_specs_and_codes():
@@ -114,7 +114,7 @@ def test_decode_modes_and_outcome_fields():
     rng = substream(45, "modes")
     key = ecc.encode(spec, rng.integers(0, 2, size=10).astype(np.uint8))
     key = key ^ (rng.random(100) < 0.15).astype(np.uint8)
-    llrs = ecc.llr_from_key(spec, key, spec.design_p)
+    llrs = ecc.llr_from_keys(spec, key[None], spec.design_p)[0]
     last = ecc.decode(spec, llrs, mode="last-bit")
     strict = ecc.decode(spec, llrs, mode="min-bit")
     assert np.array_equal(last.code, strict.code)
@@ -157,17 +157,17 @@ def test_llr_from_key_formula_and_shortening():
     spec = ecc.construct_code(10, 100, 0.1)
     key = np.zeros(100, dtype=np.uint8)
     key[1] = 1
-    llrs = ecc.llr_from_key(spec, key, 0.1)
+    llrs = ecc.llr_from_keys(spec, key[None], 0.1)[0]
     assert llrs.shape == (128,)
     assert llrs[0] == pytest.approx(np.log(9.0), abs=1e-12)
     assert llrs[1] == pytest.approx(-np.log(9.0), abs=1e-12)
     # shortened tail carries the known-bit constant regardless of channel_p
     for channel_p in (0.05, 0.1, 0.4):
-        tail = ecc.llr_from_key(spec, key, channel_p)[100:]
+        tail = ecc.llr_from_keys(spec, key[None], channel_p)[0, 100:]
         assert (tail == ecc.KNOWN_BIT_LLR).all()
     for bad_p in (0.0, 0.5, -0.2):
         with pytest.raises(ValueError):
-            ecc.llr_from_key(spec, key, bad_p)
+            ecc.llr_from_keys(spec, key[None], bad_p)
 
 
 # every non-bit value the old max-only check let through, plus 2
@@ -210,7 +210,7 @@ def test_noiseless_roundtrip_reliable_for_any_threshold_below_known_bit():
     rng = substream(47, "noiseless")
     for _ in range(10):
         code = rng.integers(0, 2, size=6).astype(np.uint8)
-        llrs = ecc.llr_from_key(spec, ecc.encode(spec, code), spec.design_p)
+        llrs = ecc.llr_from_keys(spec, ecc.encode(spec, code)[None], spec.design_p)[0]
         out = ecc.decode(spec, llrs, threshold=20.0)
         assert np.array_equal(out.code, code)
         assert out.reliable

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ def test_construct_deterministic_and_json_roundtrip():
     a = ecc.construct_code(10, 100, 0.1)
     b = ecc.construct_code(10, 100, 0.1)
     assert a == b
-    c = ecc.PolarCodeSpec.from_json(a.to_json())
+    c = ecc.PolarCodeSpec.from_dict(json.loads(json.dumps(a.to_dict())))
     assert c == a
 
 
@@ -127,8 +129,10 @@ def test_polar_transform_is_self_inverse():
 
 
 def test_int_code_conversions_msb_first():
-    assert ecc.int_to_code(5, 4).tolist() == [0, 1, 0, 1]
-    assert ecc.code_to_int(np.array([0, 1, 0, 1], dtype=np.uint8)) == 5
-    vals = np.arange(16)
-    codes = np.stack([ecc.int_to_code(v, 4) for v in vals])
-    assert np.array_equal(ecc.codes_to_ints(codes), vals)
+    assert ecc.codes_to_ints(np.array([0, 1, 0, 1], dtype=np.uint8)) == 5
+    # row c of the key table encodes the k bits of c, most significant first
+    spec = ecc.construct_code(4, 4, 0.1)
+    codes = np.array([[(v >> (3 - j)) & 1 for j in range(4)] for v in range(16)], dtype=np.uint8)
+    assert codes[5].tolist() == [0, 1, 0, 1]
+    assert np.array_equal(ecc.encode_all(spec), ecc.encode(spec, codes))
+    assert np.array_equal(ecc.codes_to_ints(codes), np.arange(16))

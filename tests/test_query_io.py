@@ -145,6 +145,19 @@ def test_query_output_bytes_pinned(pin_files, capsys, mode):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS[mode]
 
 
+def test_overflowing_embedding_leaves_stderr_empty(pin_files):
+    """The pin file's ``[1e308] * d`` line overflows ``e . e``; it becomes
+    its error record, and stderr, which carries only the CLI's own error
+    object, stays empty: no numpy warning reaches it."""
+    store_path, qfile = pin_files
+    src = os.path.dirname(os.path.dirname(drew.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "drew.cli", "query", "--store", str(store_path),
+                           "--queries", str(qfile)], env=env, capture_output=True, check=True)
+    assert hashlib.sha256(done.stdout).hexdigest() == PINS["routed"]
+    assert done.stderr == b""
+
+
 def test_crlf_and_stdin_give_the_lf_bytes(pin_files, capsys, monkeypatch, tmp_path):
     """A CRLF file, and LF or CRLF text on stdin, answer byte for byte as
     the LF file does, error records included."""
