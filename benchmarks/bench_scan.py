@@ -129,8 +129,9 @@ def main() -> None:
     routed_q = [Query(observed_key=store.cluster_keys[store.clusters[r]], observed_embedding=q)
                 for q, r in zip(embs, rows)]
     keys = substream(2024, "bench-scan/lookup-keys").integers(0, 2, size=(200, store.spec.n))
-    llrs = ecc.llr_from_keys(store.spec, keys, store.spec.design_p)
-    rejected = keys[~ecc.decode_batch(store.spec, llrs, 5.0, "min-bit")[2]][:20]
+    _, reliable = ecc.decode_keys(store.spec, keys, gate.reliability_threshold,
+                                  gate.reliability_mode)
+    rejected = keys[~reliable][:20]
     fallback_q = [Query(observed_key=k.astype(np.uint8), observed_embedding=q)
                   for k, q in zip(rejected, _queries(store, 20, 0.3, "lookup-fallback")[0])]
 

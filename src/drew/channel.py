@@ -10,7 +10,7 @@ attack knob never reshuffles the other channel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -101,40 +101,6 @@ def attack_rows(
         embs += attack.sigma * streams.embedding.standard_normal(embs.shape)
         embs /= np.sqrt(np.einsum("nd,nd->n", embs, embs))[:, None]
     return keys, embs
-
-
-def apply_attack(
-    entry,
-    attack: AttackConfig,
-    streams: AttackStreams,
-    heldout_pool: np.ndarray | None = None,
-    key_len: int | None = None,
-) -> Query:
-    """Produce the query an attacked item (or a fresh one) generates.
-
-    For in-dataset attacks ``entry`` must be a preprocessed store entry (its
-    key carries the cluster watermark), attacked by a one-row
-    :func:`attack_rows` call.  For out-of-dataset attacks the
-    embedding is drawn from ``heldout_pool`` and the observed key is uniform
-    random bits: no watermark is present.
-    """
-    if attack.out_of_dataset:
-        if heldout_pool is None or len(heldout_pool) == 0:
-            raise ValueError("out-of-dataset attack needs a held-out pool")
-        n = key_len if key_len is not None else (len(entry.key) if entry is not None else None)
-        if n is None:
-            raise ValueError("out-of-dataset attack needs key_len (no entry given)")
-        i = int(streams.out_of_dataset.integers(len(heldout_pool)))
-        emb = np.asarray(heldout_pool[i], dtype=np.float64)
-        emb = emb / np.linalg.norm(emb)
-        key = streams.out_of_dataset.integers(0, 2, size=n).astype(np.uint8)
-        return Query(observed_key=key, observed_embedding=emb, ground_truth_id=None)
-    if entry is None:
-        raise ValueError("in-dataset attack needs a store entry")
-    if entry.key is None:
-        raise ValueError("entry has no injected key; preprocess the store first")
-    keys, embs = attack_rows([entry.key], [entry.embedding], attack, streams)
-    return Query(observed_key=keys[0], observed_embedding=embs[0], ground_truth_id=int(entry.id))
 
 
 # ---------------------------------------------------------------------------

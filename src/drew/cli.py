@@ -63,9 +63,6 @@ _DEFAULTS = {
     "n": 100,
     "design_p": 0.1,
     "seed": 7,
-    "reliability_threshold": 0.5,
-    "tau_r": -1.0,
-    "reliability_mode": "last-bit",
     "n_queries": 2000,
     "n_trials": 100000,
 }
@@ -106,10 +103,13 @@ def _out_dir(args, config) -> str:
 
 
 def _query_config(args, config) -> QueryConfig:
+    """The gate from flags, then the config file, then QueryConfig's defaults."""
+    base = QueryConfig()
     return QueryConfig(
-        reliability_threshold=float(_setting(args, config, "reliability_threshold")),
-        tau_r=float(_setting(args, config, "tau_r")),
-        reliability_mode=str(_setting(args, config, "reliability_mode")),
+        reliability_threshold=float(
+            _setting(args, config, "reliability_threshold", base.reliability_threshold)),
+        tau_r=float(_setting(args, config, "tau_r", base.tau_r)),
+        reliability_mode=str(_setting(args, config, "reliability_mode", base.reliability_mode)),
     )
 
 
@@ -469,13 +469,8 @@ def _stage_epsilon(store, golden, out_dir, seed, n_trials, cfg):
             {"status": "skipped", "reason": f"store spec differs from golden: {mismatch}"},
             [], [], False,
         )
-    golden_cfg = QueryConfig(
-        reliability_threshold=float(golden["threshold"]),
-        reliability_mode=str(golden["reliability_mode"]),
-    )
-    ok, rows = evaluation.check_epsilon_goldens(
-        store, golden, seed, n_trials=n_trials, cfg=golden_cfg
-    )
+    # the golden's own threshold and mode, not the run's gate
+    ok, rows = evaluation.check_epsilon_goldens(store, golden, seed, n_trials=n_trials)
     curve = [
         ("epsilon_sweep", r["p_A"], 0.0, "epsilon_r", r["estimate"], r["band"] / 3.0, seed)
         for r in rows
@@ -655,15 +650,19 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError("grid must be start:stop:num or comma-separated points")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        if num < 2:
-            raise UsageError("grid needs at least 2 points")
-        return np.round(np.linspace(start, stop, num), 10).tolist()
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ":" not in text:
+            grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        else:
+            start, stop, num = text.split(":")
+            if int(num) < 2:
+                raise UsageError("grid needs at least 2 points")
+            grid = np.round(np.linspace(float(start), float(stop), int(num)), 10).tolist()
+    except ValueError:
+        raise UsageError("grid must be start:stop:num or comma-separated points") from None
+    if not grid:
+        raise UsageError("grid needs at least one point")
+    return grid
 
 
 def cmd_capacity_curve(args) -> int:
@@ -715,6 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, default=None)
 
+    def gate(p):
+        # no defaults here: _query_config falls back to QueryConfig's
+        p.add_argument("--reliability-threshold", dest="reliability_threshold", type=float)
+        p.add_argument("--tau-r", dest="tau_r", type=float)
+        p.add_argument("--reliability-mode", dest="reliability_mode",
+                       choices=ecc.RELIABILITY_MODES)
+
     b = sub.add_parser("build", help="build a clustered store (synthetic or CSV)")
     common(b)
     b.add_argument("--synthetic", nargs="*", metavar="KEY=VAL",
@@ -733,11 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--queries", required=True, help="JSONL file of queries, or - for stdin")
     q.add_argument("--naive", action="store_true", help="full-store scan, ignore keys")
     q.add_argument("--out", default=None, help="output JSONL path (default stdout)")
-    q.add_argument("--reliability-threshold", dest="reliability_threshold",
-                   type=float, default=None)
-    q.add_argument("--tau-r", dest="tau_r", type=float, default=None)
-    q.add_argument("--reliability-mode", dest="reliability_mode",
-                   choices=("last-bit", "min-bit"), default=None)
+    gate(q)
     q.set_defaults(func=cmd_query)
 
     e = sub.add_parser("eval", help="run the evaluation suite and emit reports")
@@ -754,11 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n-in", dest="n_in", type=int, default=1000)
     e.add_argument("--n-out", dest="n_out", type=int, default=1000)
     e.add_argument("--roc-attack", default="crop_0.5")
-    e.add_argument("--reliability-threshold", dest="reliability_threshold",
-                   type=float, default=None)
-    e.add_argument("--tau-r", dest="tau_r", type=float, default=None)
-    e.add_argument("--reliability-mode", dest="reliability_mode",
-                   choices=("last-bit", "min-bit"), default=None)
+    gate(e)
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("capacity-curve", help="rate limit table over flip rates")

@@ -307,6 +307,18 @@ def decode(
     )
 
 
+def decode_keys(spec: PolarCodeSpec, keys: np.ndarray, threshold: float, mode: str):
+    """Decode a (B, n) batch of observed keys to cluster indices.
+
+    The keys' LLRs at the code's design flip rate go through one
+    :func:`decode_batch`; returns ``(clusters, reliable)``, the decoded
+    cluster index and the reliability flag of every key.
+    """
+    llrs = llr_from_keys(spec, keys, spec.design_p)
+    codes, _, reliable, _, _ = decode_batch(spec, llrs, threshold, mode)
+    return codes_to_ints(codes), reliable
+
+
 # ---------------------------------------------------------------------------
 # rate limits
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ecc
-from .channel import AttackConfig, AttackStreams, apply_attack, attack_rows
+from .channel import AttackConfig, AttackStreams, attack_rows
 from .pipeline import NO_MATCH, QueryConfig, batch_query, decode_scopes, route_and_scan
 from .rng import substream
 from .store import Store, csr_index, scan_ranks
@@ -35,11 +35,8 @@ REDUNDANCY_CAP = 1.0e6
 # ---------------------------------------------------------------------------
 
 def _attack_queries(store: Store, attack: AttackConfig, n_queries: int, seed: int):
-    """Sample entries and push them through the attack channel.
-
-    One :func:`drew.channel.attack_rows` call over the sample, so the
-    queries equal those of :func:`drew.channel.apply_attack` mapped over it.
-    """
+    """Sample entries and push them through the attack channel, one
+    :func:`drew.channel.attack_rows` call over the sample."""
     if attack.out_of_dataset:
         raise ValueError("accuracy evaluation needs in-dataset attacks")
     smp = substream(seed, f"sample/{attack.name}")
@@ -48,6 +45,18 @@ def _attack_queries(store: Store, attack: AttackConfig, n_queries: int, seed: in
     keys, embs = attack_rows(store.cluster_keys[store.clusters[gt_idx]],
                              store.embeddings[gt_idx], attack, streams)
     return keys, embs, gt_idx
+
+
+def _keyless_queries(pool: np.ndarray, count: int, n: int, rng: np.random.Generator):
+    """``count`` queries that carry no watermark: each draws a ``pool`` row,
+    normalised, then a uniform random n-bit key, one query after another."""
+    keys = np.empty((count, n), dtype=np.uint8)
+    embs = np.empty((count, pool.shape[1]))
+    for i in range(count):
+        emb = np.asarray(pool[int(rng.integers(len(pool)))], dtype=np.float64)
+        embs[i] = emb / np.linalg.norm(emb)
+        keys[i] = rng.integers(0, 2, size=n)
+    return keys, embs
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +281,6 @@ def estimate_epsilon_r(
         raise ValueError("estimate_epsilon_r needs a preprocessed store")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    spec = store.spec
     smp = substream(seed, f"epsilon/{attack.name}/sample")
     kstream = substream(seed, f"epsilon/{attack.name}/key")
     wrong_reliable = 0
@@ -285,11 +293,9 @@ def estimate_epsilon_r(
         keys = store.cluster_keys[gt_cluster]
         if attack.p_a > 0.0:
             keys = keys ^ (kstream.random(keys.shape) < attack.p_a).astype(np.uint8)
-        llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
-        codes, _, rel, _, _ = ecc.decode_batch(
-            spec, llrs, cfg.reliability_threshold, cfg.reliability_mode
+        dec, rel = ecc.decode_keys(
+            store.spec, keys, cfg.reliability_threshold, cfg.reliability_mode
         )
-        dec = ecc.codes_to_ints(codes)
         n_rel += int(rel.sum())
         wrong_reliable += int((rel & (dec != gt_cluster)).sum())
     low = n_rel == 0
@@ -419,11 +425,13 @@ def lemma1_check(
     """
     if not store.clustered:
         raise ValueError("lemma1_check needs a preprocessed store")
+    if n_queries < 1:
+        raise ValueError("n_queries must be positive")
+    if not 1 <= k <= 16:
+        raise ValueError("k must lie in [1, 16]")
     if store.spec.k == k:
         labels = store.clusters
     else:
-        if not 1 <= k <= 30:
-            raise ValueError("k out of range")
         labels = substream(seed, "lemma-partition").integers(0, 1 << k, size=len(store)).astype(np.int64)
     keys, embs, gt_idx = _attack_queries(store, attack, n_queries, seed)
     del keys  # oracle routing: the decoder plays no part here
@@ -521,16 +529,8 @@ def roc_eval(
     if pool is None:
         pool = heldout_pool(max(n_out, 1), store.d, seed)
     keys_in, embs_in, _ = _attack_queries(store, attack, n_in, seed)
-    ood = AttackConfig(name=f"{attack.name}/ood", p_a=attack.p_a, sigma=attack.sigma,
-                       out_of_dataset=True)
-    streams = AttackStreams.for_attack(seed, ood.name)
-    n_bits = store.spec.n
-    keys_out = np.empty((n_out, n_bits), dtype=np.uint8)
-    embs_out = np.empty((n_out, store.d))
-    for i in range(n_out):
-        q = apply_attack(None, ood, streams, heldout_pool=pool, key_len=n_bits)
-        keys_out[i] = q.observed_key
-        embs_out[i] = q.observed_embedding
+    rng = AttackStreams.for_attack(seed, f"{attack.name}/ood").out_of_dataset
+    keys_out, embs_out = _keyless_queries(pool, n_out, store.spec.n, rng)
     keys = np.concatenate([keys_in, keys_out])
     embs = np.concatenate([embs_in, embs_out])
     drew_scores = np.array([r.similarity for r in batch_query(store, keys, embs, cfg)])
@@ -588,6 +588,8 @@ def cluster_subset_accuracy(
     k_grid = [int(k) for k in k_grid]
     if any(k < 0 or k > 16 for k in k_grid):
         raise ValueError("k values must lie in [0, 16]")
+    if n_queries < 1:
+        raise ValueError("n_queries must be positive")
     k_max = max(k_grid)
     labels = (
         substream(seed, "subset-labels").integers(0, 1 << k_max, size=len(store)).astype(np.int64)
@@ -617,10 +619,10 @@ def fer_sweep(
     p_grid,
     frames: int,
     seed: int,
-    threshold: float = 0.5,
-    mode: str = "last-bit",
+    cfg: QueryConfig = QueryConfig(),
 ) -> list[dict]:
-    """Frame error rate of the code alone across flip rates."""
+    """Frame error rate of the code alone across flip rates, with the
+    reliable share under ``cfg``'s gate."""
     if frames < 1:
         raise ValueError("frames must be positive")
     rows = []
@@ -634,9 +636,8 @@ def fer_sweep(
         keys = table[msgs]
         if p > 0.0:
             keys = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
-        llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
-        codes, _, rel, _, _ = ecc.decode_batch(spec, llrs, threshold, mode)
-        dec = ecc.codes_to_ints(codes)
+        dec, rel = ecc.decode_keys(spec, keys, cfg.reliability_threshold,
+                                   cfg.reliability_mode)
         errors = int((dec != msgs).sum())
         fer = errors / frames
         rows.append(

@@ -28,11 +28,12 @@ NO_MATCH = -1
 
 @dataclass(frozen=True)
 class QueryConfig:
-    """Knobs shared by both query paths.
+    """Knobs shared by both query paths; their defaults are those of the
+    library, ``drew query`` and ``drew eval`` alike.
 
     reliability_threshold : minimum decision-LLR magnitude to trust routing.
     tau_r : similarity floor; best match below it reports NO_MATCH.
-    reliability_mode : "last-bit" (default) or the stricter "min-bit".
+    reliability_mode : one of :data:`drew.ecc.RELIABILITY_MODES`.
     """
 
     reliability_threshold: float = 0.5
@@ -99,12 +100,9 @@ def decode_scopes(store: Store, keys: np.ndarray, cfg: QueryConfig):
     which is the decoded cluster where the decode is reliable and the
     cluster has members, else -1 (the whole store).
     """
-    spec = store.spec
-    llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
-    codes, _, reliable, _, _ = ecc.decode_batch(
-        spec, llrs, cfg.reliability_threshold, cfg.reliability_mode
+    clusters, reliable = ecc.decode_keys(
+        store.spec, keys, cfg.reliability_threshold, cfg.reliability_mode
     )
-    clusters = ecc.codes_to_ints(codes)
     scopes = np.where(reliable & (store.cluster_sizes[clusters] > 0), clusters, -1)
     return clusters, reliable, scopes
 

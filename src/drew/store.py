@@ -70,7 +70,6 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +92,6 @@ FULL = -1
 
 class StoreFormatError(Exception):
     """Raised when a store file is malformed, truncated, or corrupted."""
-
-
-@dataclass(frozen=True)
-class StoreEntry:
-    id: int
-    embedding: np.ndarray
-    cluster: int | None
-    key: np.ndarray | None
 
 
 class Store:
@@ -151,9 +142,6 @@ class Store:
         self.clusters = clusters
         self.spec = spec
         self.seed = seed
-        self._by_id = None
-        self._members = None
-        self._keys = None
 
     def _with_partition(self, clusters, spec, seed) -> Store:
         """A new store over these rows, which this store's construction has
@@ -181,42 +169,19 @@ class Store:
     def clustered(self) -> bool:
         return self.clusters is not None
 
-    @property
+    @functools.cached_property
     def cluster_keys(self) -> np.ndarray:
         """(2**k, n) key table; row c is the watermark key of cluster c."""
         if self.spec is None:
             raise ValueError("store has no cluster partition yet")
-        if self._keys is None:
-            self._keys = ecc.encode_all(self.spec)
-        return self._keys
+        return ecc.encode_all(self.spec)
 
-    def index_of(self, entry_id: int) -> int:
-        if self._by_id is None:
-            self._by_id = {int(v): i for i, v in enumerate(self.ids)}
-        try:
-            return self._by_id[int(entry_id)]
-        except KeyError:
-            raise KeyError(f"id {entry_id} not in store") from None
-
-    def entry(self, entry_id: int) -> StoreEntry:
-        i = self.index_of(entry_id)
-        cluster = None if self.clusters is None else int(self.clusters[i])
-        key = None if cluster is None else self.cluster_keys[cluster]
-        return StoreEntry(
-            id=int(self.ids[i]),
-            embedding=self.embeddings[i],
-            cluster=cluster,
-            key=key,
-        )
-
-    @property
+    @functools.cached_property
     def cluster_index(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR cluster layout, :func:`csr_index` of the cluster labels."""
         if self.clusters is None:
             raise ValueError("store has no cluster partition yet")
-        if self._members is None:
-            self._members = csr_index(self.clusters, 1 << self.spec.k)
-        return self._members
+        return csr_index(self.clusters, 1 << self.spec.k)
 
     @functools.cached_property
     def cluster_sizes(self) -> np.ndarray:

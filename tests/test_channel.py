@@ -9,13 +9,11 @@ from drew import ecc
 from drew.channel import (
     AttackConfig,
     AttackStreams,
-    apply_attack,
     attack_rows,
     default_suite,
     parse_suite,
 )
 from drew.rng import substream
-from drew.store import StoreEntry
 
 # Brute-force Monte-Carlo value of E[cos(e, normalize(e + 0.5 g))] at d=64,
 # computed once with 10^6 independent draws (seed 987654321).
@@ -68,48 +66,6 @@ def test_perturb_embedding_mean_cosine_matches_oracle():
     assert abs(float((out @ e).mean()) - PERTURB_COSINE_ORACLE) < 0.02
 
 
-def _entry(seed: int = 9, d: int = 16, n: int = 32) -> StoreEntry:
-    rng = substream(seed, "entry")
-    emb = rng.standard_normal(d)
-    emb /= np.linalg.norm(emb)
-    key = rng.integers(0, 2, size=n).astype(np.uint8)
-    return StoreEntry(id=5, embedding=emb, cluster=3, key=key)
-
-
-def test_apply_attack_identity():
-    entry = _entry()
-    streams = AttackStreams.for_attack(11, "identity")
-    q = apply_attack(entry, AttackConfig("identity", 0.0, 0.0), streams)
-    assert np.array_equal(q.observed_key, entry.key)
-    assert np.array_equal(q.observed_embedding, entry.embedding)
-    assert q.ground_truth_id == 5
-
-
-def test_apply_attack_out_of_dataset():
-    pool = substream(12, "pool").standard_normal((50, 16))
-    pool /= np.linalg.norm(pool, axis=1)[:, None]
-    atk = AttackConfig("ood", 0.1, 0.2, out_of_dataset=True)
-    streams = AttackStreams.for_attack(13, "ood")
-    q = apply_attack(None, atk, streams, heldout_pool=pool, key_len=32)
-    assert q.ground_truth_id is None
-    assert q.observed_key.shape == (32,)
-    assert abs(np.linalg.norm(q.observed_embedding) - 1.0) < 1e-6
-    # uniform keys: roughly half ones over many draws
-    ones = sum(
-        apply_attack(None, atk, streams, heldout_pool=pool, key_len=32).observed_key.sum()
-        for _ in range(200)
-    )
-    assert abs(ones / (200 * 32) - 0.5) < 0.05
-
-
-def test_apply_attack_requires_key():
-    entry = _entry()
-    bare = StoreEntry(id=1, embedding=entry.embedding, cluster=None, key=None)
-    streams = AttackStreams.for_attack(14, "x")
-    with pytest.raises(ValueError):
-        apply_attack(bare, AttackConfig("x", 0.1, 0.0), streams)
-
-
 def test_key_and_embedding_streams_are_independent():
     keys = substream(21, "keys").integers(0, 2, size=(30, 32)).astype(np.uint8)
     embs = _unit_rows(21, 30, d=16)
@@ -128,15 +84,16 @@ def test_key_and_embedding_streams_are_independent():
 
 
 def test_identical_seeds_give_identical_query_streams():
-    entry = _entry()
+    key = substream(9, "entry").integers(0, 2, size=(1, 32)).astype(np.uint8)
+    emb = _unit_rows(9, 1, d=16)
     atk = AttackConfig("rep", 0.25, 0.4)
     s1 = AttackStreams.for_attack(33, "rep")
     s2 = AttackStreams.for_attack(33, "rep")
     for _ in range(20):
-        q1 = apply_attack(entry, atk, s1)
-        q2 = apply_attack(entry, atk, s2)
-        assert np.array_equal(q1.observed_key, q2.observed_key)
-        assert np.array_equal(q1.observed_embedding, q2.observed_embedding)
+        keys1, embs1 = attack_rows(key, emb, atk, s1)
+        keys2, embs2 = attack_rows(key, emb, atk, s2)
+        assert np.array_equal(keys1, keys2)
+        assert np.array_equal(embs1, embs2)
 
 
 def test_attack_config_validation_and_json():

@@ -9,8 +9,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from drew.cli import CURVE_HEADER, main
-from drew.pipeline import preprocess
+from drew import ecc
+from drew.cli import CURVE_HEADER, _query_config, build_parser, main
+from drew.pipeline import QueryConfig, preprocess
 from drew.store import export_csv, save_store
 from drew.synthetic import synthetic_store
 
@@ -28,13 +29,12 @@ def _run(capsys, argv):
 
 
 def _query_line(store, i, qid):
-    entry = store.entry(int(store.ids[i]))
     return json.dumps(
         {
             "query_id": qid,
-            "key": "".join(str(b) for b in entry.key.tolist()),
-            "embedding": entry.embedding.tolist(),
-            "ground_truth_id": int(entry.id),
+            "key": "".join(str(b) for b in store.cluster_keys[store.clusters[i]].tolist()),
+            "embedding": store.embeddings[i].tolist(),
+            "ground_truth_id": int(store.ids[i]),
         }
     )
 
@@ -218,26 +218,25 @@ def test_query_hostile_lines_fail_per_line(tmp_path, capsys):
 def test_query_key_as_bit_list_and_naive(tmp_path, capsys):
     store_path = tmp_path / "s.drew"
     store = _build_store(store_path)
-    entry = store.entry(int(store.ids[7]))
     qfile = tmp_path / "q.jsonl"
     qfile.write_text(json.dumps({
         "query_id": 0,
-        "key": entry.key.tolist(),
-        "embedding": entry.embedding.tolist(),
+        "key": store.cluster_keys[store.clusters[7]].tolist(),
+        "embedding": store.embeddings[7].tolist(),
     }) + "\n")
 
     code, out, _ = _run(capsys, ["query", "--store", str(store_path),
                                  "--queries", str(qfile)])
     assert code == 0
     doc = json.loads(out)
-    assert doc["matched_id"] == int(entry.id)
+    assert doc["matched_id"] == int(store.ids[7])
     assert doc["scope_size"] < len(store)
 
     code, out, _ = _run(capsys, ["query", "--store", str(store_path),
                                  "--queries", str(qfile), "--naive"])
     assert code == 0
     ndoc = json.loads(out)
-    assert ndoc["matched_id"] == int(entry.id)
+    assert ndoc["matched_id"] == int(store.ids[7])
     assert ndoc["decoded_code"] is None
     assert ndoc["reliable"] is None
     assert ndoc["scope_size"] == len(store)
@@ -431,6 +430,18 @@ def test_eval_usage_errors(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("stage", ["accuracy", "lemma1", "subset"])
+def test_eval_rejects_zero_queries(tmp_path, capsys, stage):
+    store_path = tmp_path / "s.drew"
+    _build_store(store_path, count=60)
+    code, out, err = _run(capsys, ["eval", "--store", str(store_path), "--only", stage,
+                                   "--n-queries", "0", "--out-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "DataError" and doc["message"] == "n_queries must be positive"
+
+
 # ---------------------------------------------------------------------------
 # config file and environment
 # ---------------------------------------------------------------------------
@@ -511,6 +522,29 @@ def test_ecc_bench_command(tmp_path, capsys):
 
     code, _, _ = _run(capsys, ["ecc-bench", "--backend", "numpy"])
     assert code == 1  # there is one decoder: the option is gone, a usage error
+
+
+@pytest.mark.parametrize("command", ["capacity-curve", "ecc-bench"])
+@pytest.mark.parametrize("grid", [",,,", "", "0:0.3:abc", "0:x:5", "0.1,abc", "0:0.3:2:1"])
+def test_bad_grid_is_a_usage_error(capsys, command, grid):
+    code, out, err = _run(capsys, [command, "--grid", grid, "--frames", "10"]
+                          if command == "ecc-bench" else [command, "--grid", grid])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_gate_flags_and_defaults_have_one_owner():
+    parser = build_parser()
+    for command in ("query", "eval"):
+        sub = parser._subparsers._group_actions[0].choices[command]
+        (mode,) = [a for a in sub._actions if a.dest == "reliability_mode"]
+        assert tuple(mode.choices) == ecc.RELIABILITY_MODES
+        args = parser.parse_args([command, "--store", "s"]
+                                 + (["--queries", "q"] if command == "query" else []))
+        assert _query_config(args, {}) == QueryConfig()
+    args = parser.parse_args(["eval", "--tau-r", "0.5"])
+    assert _query_config(args, {"tau_r": 0.2, "reliability_threshold": 2}) == QueryConfig(
+        reliability_threshold=2.0, tau_r=0.5)
 
 
 def test_parser_exit_codes(capsys):

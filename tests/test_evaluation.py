@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from drew import evaluation
-from drew.channel import AttackConfig, AttackStreams, apply_attack, default_suite
+from drew.channel import AttackConfig, AttackStreams, attack_rows, default_suite
 from drew.evaluation import (
     _attack_queries,
     _evaluate_attack,
+    _keyless_queries,
     capacity_curve,
     check_epsilon_goldens,
     cluster_subset_accuracy,
@@ -47,11 +48,28 @@ def test_attack_queries_match_per_query_channel(small_store):
     streams = AttackStreams.for_attack(91, "batchcheck")
     assert np.array_equal(gt_idx, ref_idx)
     for i in range(40):
-        q = apply_attack(small_store.entry(int(small_store.ids[ref_idx[i]])),
-                         attack, streams)
-        assert np.array_equal(keys[i], q.observed_key)
-        assert np.array_equal(embs[i], q.observed_embedding)
-        assert q.ground_truth_id == int(small_store.ids[ref_idx[i]])
+        row = ref_idx[i : i + 1]
+        key, emb = attack_rows(small_store.cluster_keys[small_store.clusters[row]],
+                               small_store.embeddings[row], attack, streams)
+        assert np.array_equal(keys[i], key[0])
+        assert np.array_equal(embs[i], emb[0])
+
+
+def test_keyless_queries_uniform_keys():
+    pool = substream(12, "pool").standard_normal((50, 16))
+    pool /= np.linalg.norm(pool, axis=1)[:, None]
+    rng = AttackStreams.for_attack(13, "ood").out_of_dataset
+    keys, embs = _keyless_queries(pool, 200, 32, rng)
+    assert keys.shape == (200, 32) and keys.dtype == np.uint8
+    assert np.all(np.abs(np.linalg.norm(embs, axis=1) - 1.0) < 1e-6)
+    # every embedding is a pool row; the keys are uniform: about half ones
+    assert all(np.any(np.all(np.isclose(pool, e), axis=1)) for e in embs)
+    assert abs(keys.mean() - 0.5) < 0.05
+    # per query: first the pool row, then the key bits
+    again = AttackStreams.for_attack(13, "ood").out_of_dataset
+    row = int(again.integers(50))
+    assert np.array_equal(embs[0], pool[row] / np.linalg.norm(pool[row]))
+    assert np.array_equal(keys[0], again.integers(0, 2, size=32))
 
 
 def test_attack_queries_reject_out_of_dataset(small_store):
@@ -241,9 +259,12 @@ def test_lemma1_custom_partition(small_store):
                        k=4, p_list=(2, 5), n_queries=300, seed=2)
     assert rec.k == 4
     assert rec.holds
-    with pytest.raises(ValueError):
-        lemma1_check(small_store, AttackConfig("h", 0.0, 0.3), k=31,
-                     p_list=(2,), n_queries=10, seed=0)
+    # the partition's CSR layout takes 2**k offsets: k stops at 16, as in the
+    # store format's u16 cluster labels
+    for k in (0, 17, 31):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 16\]"):
+            lemma1_check(small_store, AttackConfig("h", 0.0, 0.3), k=k,
+                         p_list=(2,), n_queries=10, seed=0)
 
 
 def test_roc_degenerate_cases():

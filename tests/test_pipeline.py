@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drew import ecc
-from drew.channel import AttackConfig, AttackStreams, Query, apply_attack
+from drew.channel import AttackConfig, AttackStreams, Query, attack_rows
 from drew.pipeline import (
     NO_MATCH,
     QueryConfig,
@@ -22,9 +22,11 @@ from drew.synthetic import synthetic_store
 
 def _query_for(store, i: int, p_a: float = 0.0, sigma: float = 0.0,
                seed: int = 77, name: str = "t") -> Query:
-    entry = store.entry(int(store.ids[i]))
-    return apply_attack(entry, AttackConfig(name, p_a, sigma),
-                        AttackStreams.for_attack(seed, name))
+    keys, embs = attack_rows(store.cluster_keys[store.clusters[i : i + 1]],
+                             store.embeddings[i : i + 1], AttackConfig(name, p_a, sigma),
+                             AttackStreams.for_attack(seed, name))
+    return Query(observed_key=keys[0], observed_embedding=embs[0],
+                 ground_truth_id=int(store.ids[i]))
 
 
 def test_preprocess_keys_match_clusters():
