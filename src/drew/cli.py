@@ -662,6 +662,8 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError("grid must be start:stop:num or comma-separated points") from None
     if not grid:
         raise UsageError("grid needs at least one point")
+    if not np.isfinite(grid).all():
+        raise UsageError("grid points must be finite")
     return grid
 
 

@@ -338,7 +338,7 @@ def binary_entropy(p):
 def capacity_rate(p_a):
     """Highest code rate k/n supporting reliable decoding at flip rate p_a."""
     arr = np.asarray(p_a, dtype=np.float64)
-    if np.any((arr < 0.0) | (arr > 0.5)):
+    if not ((arr >= 0.0) & (arr <= 0.5)).all():  # also fails on NaN
         raise ValueError("capacity_rate domain is [0, 0.5]")
     return 1.0 - binary_entropy(p_a)
 

@@ -45,6 +45,16 @@ matrix is a block of rows small enough (``_BLAS_MADDS`` multiply-adds per
 product) that BLAS never wakes its worker threads, and per-query maxima,
 threshold compares and candidate lists run over a view of r whole rows per
 line, so numpy's loops span long contiguous runs (:func:`_blas_sims`).
+When a scan holds more queries than one chunk, the stacked products of
+each chunk's block are split among as many threads as the process has
+CPUs, the caller one of them (:func:`_in_threads`; the parallel
+brute-force search of FAISS, Johnson, Douze and Jegou 2017, with
+single-threaded BLAS in each thread).  Every product is the one a serial
+scan computes, written to the same place of the same block, so the block
+and every answer are the same bit for bit, and a scan holds no more
+memory than a serial one.  A scan that fits one chunk, such as a single
+query or a batch over one ~100-row cluster, starts no thread, and neither
+does a scan made on any thread but the main one (:func:`_scan_threads`).
 
 The evaluation's scan (:func:`scan_ranks`) also returns each query's
 ground-truth rank under the same order, from the same BLAS block: with
@@ -70,6 +80,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 
 import numpy as np
 
@@ -420,6 +431,9 @@ _CHUNK_BYTES = 16 << 20
 #: a second or more after a process starts, every threaded call takes a
 #: scheduler time slice (~8 ms on a 2-vCPU VM) instead of ~1.3 ms for a
 #: full 100k x 64 scan, so scan times would depend on thread placement.
+#: A scan that splits its products among threads of its own
+#: (:func:`_blas_sims`) keeps this limit on each product, so BLAS's
+#: workers stay idle then too.
 _BLAS_MADDS = 1 << 17
 
 #: Most rows that :func:`_exact_top` scans for a single query by rescoring
@@ -447,7 +461,7 @@ def _margin(dtype: np.dtype, d: int) -> tuple[float, float, float]:
     return coef, floor, float(info.max) / 4.0
 
 
-def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
+def _blas_sims(mat: np.ndarray, Q: np.ndarray, threads: int = 1, maxima: bool = False):
     """``mat @ Q.T`` as an (N, B) block, with BLAS in ``mat``'s dtype.
 
     ``Q`` is rounded to ``mat``'s dtype and transposed once into a
@@ -457,34 +471,50 @@ def _blas_sims(mat: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     issues one BLAS product per stacked matrix, so none exceeds
     ``_BLAS_MADDS`` multiply-adds and each runs on the calling thread,
     while the per-call cost of a Python-level loop of small products is
-    paid once per chunk.
+    paid once per chunk.  With ``threads`` > 1 the stacked matrices are cut
+    into ``4 * threads`` runs that that many threads take in turn
+    (:func:`_in_threads`); each product still writes its own rows of
+    ``b``, so the block is the one a single thread computes.
 
-    Returns ``(b, r)``: ``b`` has a multiple of ``r`` rows, the first N of
-    them the similarities and any further ones -inf, so that
+    Returns ``(b, r, colmax)``: ``b`` has a multiple of ``r`` rows, the
+    first N of them the similarities and any further ones -inf, so that
     ``b.reshape(-1, r * B)`` views it as lines of ``r`` whole rows, over
     which per-query reductions and compares run in long contiguous loops
     rather than B elements at a time.  A scan that fits one product
     returns its (N, B) block as the transpose of a contiguous (B, N) one,
     with ``r = 1``: per-query argmax then runs along contiguous memory, so
     small cluster scans cost no more than a query-major block did.
-    Summation order may differ from one block size to the next;
-    :func:`_exact_top` only needs each value within ``gamma_d * |row| *
-    |q|`` of the exact dot product of the rounded query, which any order is.
+    With ``maxima`` and ``r > 1``, ``colmax`` is ``b``'s column maxima over
+    those lines, taken by each run over its own lines while they are still
+    in cache; otherwise it is None.  Summation order may differ from one
+    block size to the next; :func:`_exact_top` only needs each value
+    within ``gamma_d * |row| * |q|`` of the exact dot product of the
+    rounded query, which any order is.
     """
     Q = Q.astype(mat.dtype, copy=False)
     B, d = Q.shape
     N = mat.shape[0]
     r = max(1, _BLAS_MADDS // (B * d))
     if r >= N:  # one product, stored query-major: per-query argmax is contiguous
-        return np.matmul(Q, mat.T).T, 1
+        return np.matmul(Q, mat.T).T, 1, None
     Qt = np.ascontiguousarray(Q.T)
     stacked = N - N % r
     b = np.empty((stacked + (r if stacked < N else 0), B), dtype=mat.dtype)
-    np.matmul(mat[:stacked].reshape(-1, r, d), Qt, out=b[:stacked].reshape(-1, r, B))
+    mats = mat[:stacked].reshape(-1, r, d)
+    outs = b[:stacked].reshape(-1, r, B)
+    run = -(-len(mats) // (4 * threads)) if threads > 1 else len(mats)
+    maxes = [b[stacked:].reshape(-1)] if stacked < N else []  # the last, padded line
+
+    def products(lo: int) -> None:
+        np.matmul(mats[lo : lo + run], Qt, out=outs[lo : lo + run])
+        if maxima:
+            maxes.append(outs[lo : lo + run].reshape(-1, r * B).max(axis=0))
+
     if stacked < N:
         np.matmul(mat[stacked:], Qt, out=b[stacked:N])
         b[N:] = -np.inf
-    return b, r
+    _in_threads(products, range(0, len(mats), run), threads)
+    return b, r, np.max(maxes, axis=0) if maxima else None
 
 
 def _outward(x: np.ndarray, dtype: np.dtype, toward: float) -> np.ndarray:
@@ -530,7 +560,9 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
 
     1. ``b = mat @ Q.T`` with BLAS in ``mat``'s dtype (:func:`_blas_sims`,
        one stacked call of single-threaded row blocks), in query chunks
-       whose (N, chunk) block stays under ``_CHUNK_BYTES``.
+       whose (N, chunk) block stays under ``_CHUNK_BYTES``.  A scan of
+       two chunks or more splits each block's products among
+       :func:`_scan_threads` threads.
     2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
        p-th largest ``b`` and ``delta`` (:func:`_margin`, module
        docstring) bounds ``|b - einsum|``; the threshold is rounded down
@@ -578,21 +610,21 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
         return _scan_one(mat, ids, queries[0])
     widths = 2.0 * coef * qnorms + 2.0 * floor  # 2 * delta per query
     step = max(1, _CHUNK_BYTES // (mat.itemsize * N))
+    threads = 1 if queries.shape[0] <= step else _scan_threads()
     out_rows, out_sims, out_ranks = [], [], []
     for lo in range(0, queries.shape[0], step):
         Q = queries[lo : lo + step]
         B = Q.shape[0]
         width = widths[lo : lo + step]
-        b, r = _blas_sims(mat, Q)
+        b, r, colmax = _blas_sims(mat, Q, threads, maxima=keep == 1)
         wide = b if r == 1 else b.reshape(-1, r * B)
-        amax = colmax = None
+        amax = None
         if keep > 1:
             t = np.partition(b[:N], N - keep, axis=0)[N - keep]
         elif r == 1:  # b is exactly (N, B): argmax finds t and its row
             amax = b.argmax(axis=0)
             t = colmax = b[amax, np.arange(B)]
         else:
-            colmax = wide.max(axis=0)
             t = colmax.reshape(r, B).max(axis=0)
         thr = _outward(t - width, mat.dtype, -np.inf)
         if keep == 1 and r > 1:
@@ -620,6 +652,58 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
         out_sims.append(sims.reshape(-1, keep))
     ranks = _join(out_ranks) if out_ranks else None
     return _join(out_rows), _join(out_sims), ranks
+
+
+def _scan_threads() -> int:
+    """Threads a scan of several query chunks may use: the CPUs this
+    process may run on, for a scan on the main thread.  A scan on any
+    other thread runs alone: whatever started that thread, such as the
+    attack pool of ``drew eval --workers``, already spreads work over the
+    CPUs."""
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(work, items, threads: int) -> None:
+    """``work(x)`` for every ``x`` of ``items`` on ``threads`` threads, the
+    caller one of them.
+
+    Each thread takes the next item no thread has taken yet, so a thread
+    on a slow CPU takes fewer.  Every thread is joined before this returns
+    or raises.  The first exception any thread raises is raised again
+    here; the other threads then take no new item.  With one thread the
+    caller works through the items in order and starts none.
+    """
+    untaken = iter(items)
+    lock = threading.Lock()
+    failed = []
+
+    def drain():
+        try:
+            while not failed:
+                with lock:
+                    x = next(untaken, None)
+                if x is None:
+                    return
+                work(x)
+        except BaseException as exc:  # raised again by the caller below
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=drain, daemon=True) for _ in range(threads - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        drain()
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # started
+                helper.join()
+    if failed:
+        raise failed[0]
 
 
 def _scan_one(mat, ids, q):
@@ -712,7 +796,7 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
     :func:`_exact_top`, so the results agree bit for bit.  Candidates come
     from one stacked, single-threaded BLAS product in the rows' dtype per
     chunk of queries (at most ``_CHUNK_BYTES`` = 16 MB of similarities per
-    chunk);
+    chunk, split among threads when there are several chunks);
     only rows within ``2*delta`` of each query's BLAS maximum are rescored
     in float64 with :func:`_row_sims`, where ``delta`` (module docstring)
     bounds the BLAS vs einsum gap.  Rows must be unit norm within

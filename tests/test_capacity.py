@@ -46,6 +46,10 @@ def test_capacity_rate_values_and_monotonicity():
     assert (np.diff(caps) < 0).all()
     with pytest.raises(ValueError):
         ecc.capacity_rate(0.6)
+    with pytest.raises(ValueError):
+        ecc.capacity_rate(np.nan)
+    with pytest.raises(ValueError):
+        ecc.capacity_rate([0.1, np.nan])
 
 
 def bisection_oracle(rate: float) -> float:

@@ -525,7 +525,8 @@ def test_ecc_bench_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["capacity-curve", "ecc-bench"])
-@pytest.mark.parametrize("grid", [",,,", "", "0:0.3:abc", "0:x:5", "0.1,abc", "0:0.3:2:1"])
+@pytest.mark.parametrize("grid", [",,,", "", "0:0.3:abc", "0:x:5", "0.1,abc", "0:0.3:2:1",
+                                  "nan", "inf", "0.1,-inf", "0.1,nan", "0:nan:3"])
 def test_bad_grid_is_a_usage_error(capsys, command, grid):
     code, out, err = _run(capsys, [command, "--grid", grid, "--frames", "10"]
                           if command == "ecc-bench" else [command, "--grid", grid])

@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -507,6 +510,142 @@ def test_chunked_scans_equal_one_pass(monkeypatch):
         _assert_ranks_exact(store, queries, gt)
 
 
+def _logged_runs(patch, log):
+    """Wrap ``_in_threads`` so that every run of BLAS products logs the
+    thread that computed it and then yields the CPU for a moment: the other
+    threads take runs too, and runs finish out of order."""
+    in_threads = store_mod._in_threads
+
+    def logged(work, items, threads):
+        def run(x):
+            log.append(threading.get_ident())
+            time.sleep(0.001)
+            work(x)
+
+        in_threads(run, items, threads)
+
+    patch.setattr(store_mod, "_in_threads", logged)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_threaded_scans_equal_serial(monkeypatch, threads):
+    """Scans of many query chunks, with each chunk's BLAS products split
+    among 1, 2 or 3 threads, give the serial pass's answers bit for bit,
+    and the threads' block is the one a single thread computes."""
+    for store, queries, gt in (_near_tie_case(), _spread_case()):
+        mat, ids = store.embeddings, store.ids
+        with monkeypatch.context() as patch:
+            patch.setattr(store_mod, "_scan_threads", lambda: 1)
+            one_idx, one_sims = scan_top1(mat, ids, queries)
+            one_ranked = scan_ranks(mat, ids, queries, gt)
+            one_all = store_mod._exact_top(mat, ids, queries, len(store))
+            one_top = top_matches(store, FULL, queries[0], p=len(store))
+        log = []
+        with monkeypatch.context() as patch:
+            patch.setattr(store_mod, "_scan_threads", lambda: threads)
+            patch.setattr(store_mod, "_CHUNK_BYTES", mat.itemsize * len(store) * 3)
+            patch.setattr(store_mod, "_BLAS_MADDS", store.d * 3 * 16)  # 16 rows a product
+            _logged_runs(patch, log)
+            idx, sims = scan_top1(mat, ids, queries)
+            ranked = scan_ranks(mat, ids, queries, gt)
+            every = store_mod._exact_top(mat, ids, queries, len(store))
+            assert top_matches(store, FULL, queries[0], p=len(store)) == one_top
+            serial = store_mod._blas_sims(mat, queries[:3], 1, maxima=True)
+            split = store_mod._blas_sims(mat, queries[:3], threads, maxima=True)
+        assert np.array_equal(idx, one_idx)
+        assert np.array_equal(_bits(sims), _bits(one_sims))
+        assert np.array_equal(ranked[0], one_ranked[0])
+        assert np.array_equal(_bits(ranked[1]), _bits(one_ranked[1]))
+        assert np.array_equal(ranked[2], one_ranked[2])
+        assert np.array_equal(every[0], one_all[0])
+        assert np.array_equal(_bits(every[1]), _bits(one_all[1]))
+        assert split[1] == serial[1] == 16
+        assert np.array_equal(_bits(split[0]), _bits(serial[0]))
+        assert np.array_equal(_bits(split[2]), _bits(serial[2]))
+        assert np.array_equal(serial[2], serial[0].reshape(-1, 16 * 3).max(axis=0))
+        helpers = set(log) - {threading.get_ident()}
+        assert bool(helpers) == (threads > 1)
+
+
+def test_scan_thread_error_reaches_caller(monkeypatch):
+    """An exception raised in BLAS products run by a thread other than the
+    caller is raised to the caller, and every thread the scan started has
+    ended."""
+    store, queries, gt = _spread_case()
+    baseline = threading.active_count()
+    caller = threading.get_ident()
+    in_threads = store_mod._in_threads
+    boom = RuntimeError("products failed")
+    calls = []
+
+    def failing(work, items, threads):
+        def run(x):
+            calls.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                raise boom
+            time.sleep(0.005)  # let the other thread take a run
+            work(x)
+
+        in_threads(run, items, threads)
+
+    monkeypatch.setattr(store_mod, "_scan_threads", lambda: 2)
+    monkeypatch.setattr(store_mod, "_CHUNK_BYTES", store.embeddings.itemsize * len(store) * 2)
+    monkeypatch.setattr(store_mod, "_BLAS_MADDS", store.d * 2 * 16)
+    monkeypatch.setattr(store_mod, "_in_threads", failing)
+    with pytest.raises(RuntimeError) as raised:
+        scan_ranks(store.embeddings, store.ids, queries, gt)
+    assert raised.value is boom
+    assert any(ident != caller for ident in calls)
+    assert len(calls) < 8  # the first chunk's 8 runs: none is taken after the error
+    assert threading.active_count() == baseline
+
+
+def test_in_threads_takes_every_item_once():
+    """More threads than CPUs and a switch interval of a microsecond: each
+    item is worked on exactly once."""
+    calls = []
+
+    def work(x):
+        sum(range(x % 50))  # Python work that holds the GIL
+        calls.append(x)
+
+    items = range(3000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=store_mod._in_threads, args=(work, items, 8))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(calls) == list(items)
+
+
+def test_scans_off_the_main_thread_run_alone(monkeypatch):
+    """A scan of several chunks made on a thread other than the main one,
+    as each attack of ``drew eval --workers`` is, starts no thread of its
+    own; the same scan on the main thread uses every CPU."""
+    store, queries, _ = _spread_case()
+    counts = []
+    in_threads = store_mod._in_threads
+
+    def logged(work, items, threads):
+        counts.append(threads)
+        in_threads(work, items, threads)
+
+    monkeypatch.setattr(store_mod, "_CHUNK_BYTES", store.embeddings.itemsize * len(store) * 3)
+    monkeypatch.setattr(store_mod, "_BLAS_MADDS", store.d * 3 * 16)
+    monkeypatch.setattr(store_mod, "_in_threads", logged)
+    worker = threading.Thread(target=scan_top1, args=(store.embeddings, store.ids, queries))
+    worker.start()
+    worker.join()
+    assert counts and set(counts) == {1}
+    counts.clear()
+    scan_top1(store.embeddings, store.ids, queries)
+    assert set(counts) == {len(os.sched_getaffinity(0))}
+
+
 def test_empty_query_batch():
     store = synthetic_store(50, 8, seed=2)
     idx, sims = scan_top1(store.embeddings, store.ids, np.empty((0, 8)))
@@ -569,13 +708,24 @@ def _thread_ticks() -> dict[int, int]:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to read per-thread CPU time")
-def test_blas_worker_threads_stay_idle(acceptance_store):
+def test_blas_worker_threads_stay_idle(acceptance_store, monkeypatch):
     """Full-store scans leave BLAS's worker threads idle: no thread but the
-    caller accrues CPU time, at any batch size."""
+    caller accrues CPU time, at any batch size that fits one query chunk.
+    A batch of several chunks splits each chunk's products among threads
+    the scan starts (one per CPU), and still no thread it did not start
+    accrues CPU time."""
     mat, ids = acceptance_store.embeddings, acceptance_store.ids
     rng = substream(5, "blas-threads")
-    queries = rng.standard_normal((41, mat.shape[1]))
+    queries = rng.standard_normal((150, mat.shape[1]))
     queries /= np.linalg.norm(queries, axis=1)[:, None]
+    started = []  # native ids of the threads started through threading
+    run = threading.Thread.run
+
+    def logged_run(thread):
+        started.append(threading.get_native_id())
+        run(thread)
+
+    monkeypatch.setattr(threading.Thread, "run", logged_run)
     before = _thread_ticks()
     for batch in (1, 4, 41):
         for _ in range(3):
@@ -583,6 +733,17 @@ def test_blas_worker_threads_stay_idle(acceptance_store):
     after = _thread_ticks()
     busy = {tid: n - before.get(tid, 0) for tid, n in after.items()
             if n != before.get(tid, 0)}
+    assert busy == {}
+    assert started == []  # one chunk: the caller alone scans it
+
+    for _ in range(3):
+        scan_top1(mat, ids, queries)
+    chunks = -(-150 // (store_mod._CHUNK_BYTES // (mat.itemsize * mat.shape[0])))
+    assert chunks > 1
+    assert len(started) == 3 * chunks * (store_mod._scan_threads() - 1)
+    later = _thread_ticks()
+    busy = {tid: n - after.get(tid, 0) for tid, n in later.items()
+            if n != after.get(tid, 0) and tid not in started}
     assert busy == {}
 
 
