@@ -11,28 +11,33 @@ the whole block is compared) and at σ = 0.1 (most ground truths rank
 first, as for eval's attacked queries, so only the hot columns are), and
 one ``drew_query`` call at a time (gate ``min-bit`` 5, as perfbench's
 ``lookup``) on 50 routed queries (clean keys) and on 20 that fall back to
-the full store (random keys the gate rejects).  Each row is the median of
+the full store (random keys the gate rejects).  Then the segmented pass:
+``route_and_scan`` of 10000 queries, each routed to its row's own
+cluster, and of the default suite's 18 in-dataset attacks at 150 queries
+each as ``drew eval`` draws them (2700 queries, scopes from the default
+gate), plus the rank scan of that suite batch.  Each row is the median of
 7 passes with the [min-max] range; a pass runs the same fixed queries.
-Each row then gives the CPU ticks (user + system, read from
-``/proc/self/task``; "-" where that is absent) that threads other than the
-caller accrued during its passes, which stays 0 while every BLAS product
-runs on the calling thread, and a digest of every returned id, similarity
-and rank, so two checkouts that print the same digest gave bit-identical
-answers.
+Each row then gives the CPU milliseconds that threads other than the
+caller used during its passes (the process CPU clock, which keeps the
+time of threads that have ended, less the calling thread's own clock):
+about 0 while every BLAS product runs on the calling thread, and the
+work of a scan's own threads where it starts any.  Last comes a digest of
+every returned id, similarity and rank, so two checkouts that print the
+same digest gave bit-identical answers.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import time
 from types import SimpleNamespace
 
 import numpy as np
 
 from drew import ecc
-from drew.channel import Query
-from drew.pipeline import QueryConfig, drew_query, preprocess
+from drew.channel import Query, default_suite
+from drew.evaluation import _attack_queries
+from drew.pipeline import QueryConfig, decode_scopes, drew_query, preprocess, route_and_scan
 from drew.rng import substream
 from drew.store import FULL, scan_top1, top_matches
 from drew.synthetic import synthetic_store
@@ -75,37 +80,23 @@ def _digest(out) -> str:
     return h.hexdigest()[:12]
 
 
-def _worker_ticks() -> int | None:
-    """CPU ticks accrued so far by every thread but the calling one, or
-    None without ``/proc/self/task``."""
-    if not os.path.isdir("/proc/self/task"):
-        return None
-    total = 0
-    for tid in os.listdir("/proc/self/task"):
-        if int(tid) == os.getpid():
-            continue
-        try:
-            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-        except FileNotFoundError:  # the thread ended meanwhile
-            continue
-        total += int(fields[11]) + int(fields[12])
-    return total
+def _other_cpu_ms() -> float:
+    """CPU milliseconds (user + system) used so far by every thread of this
+    process but the calling one, those that have ended included."""
+    return (time.process_time() - time.thread_time()) * 1e3
 
 
-def _time(fn, queries: int) -> tuple[float, float, float, object, int | None]:
+def _time(fn, queries: int) -> tuple[float, float, float, object, float]:
     """Per-query microseconds of ``PASSES`` passes: (median, min, max), the
-    last pass's result, and the ticks other threads accrued meanwhile."""
+    last pass's result, and the CPU ms other threads used meanwhile."""
     out = fn()  # warm-up
     times = []
-    ticks = _worker_ticks()
+    other = _other_cpu_ms()
     for _ in range(PASSES):
         t0 = time.perf_counter()
         out = fn()
         times.append((time.perf_counter() - t0) / queries * 1e6)
-    if ticks is not None:
-        ticks = _worker_ticks() - ticks
-    return float(np.median(times)), min(times), max(times), out, ticks
+    return float(np.median(times)), min(times), max(times), out, _other_cpu_ms() - other
 
 
 def main() -> None:
@@ -159,13 +150,26 @@ def main() -> None:
         cases.append((f"drew_query {label} ({len(qs)} queries)",
                       lambda qs=qs: [drew_query(store, q, gate).to_dict() for q in qs], len(qs)))
 
+    order, offsets = store.cluster_index
+    seg_q, seg_rows = _queries(store, 10_000, 0.3, "segments")
+    suite = [_attack_queries(store, a, 150, 11) for a in default_suite() if not a.out_of_dataset]
+    suite_keys, suite_q, suite_gt = (np.concatenate(parts) for parts in zip(*suite))
+    suite_scopes = decode_scopes(store, suite_keys, QueryConfig())[2]
+    for label, scopes, qs in (("10000 routed queries", store.clusters[seg_rows], seg_q),
+                              (f"suite batch, {len(suite_q)} queries", suite_scopes, suite_q)):
+        cases.append((f"route_and_scan {label}",
+                      lambda scopes=scopes, qs=qs: route_and_scan(mat, ids, order, offsets,
+                                                                  scopes, qs), len(qs)))
+    cases.append((f"eval rank scan, suite batch, {len(suite_q)} queries",
+                  lambda: scan_ranks(mat, ids, suite_q, suite_gt), len(suite_q)))
+
     print(f"store: N={len(store)} d={store.d} dtype={store.embeddings.dtype}")
     print(f"per-query us, median of {PASSES} passes, [min-max] in brackets, "
-          "ticks of other threads, output digest")
+          "CPU ms of other threads, output digest")
     for name, fn, n in cases:
-        med, lo, hi, out, ticks = _time(fn, n)
-        print(f"{name:40s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  "
-              f"{'-' if ticks is None else ticks:>5}  {_digest(out)}")
+        med, lo, hi, out, other = _time(fn, n)
+        print(f"{name:46s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  "
+              f"{other:7.1f}  {_digest(out)}")
 
 
 if __name__ == "__main__":

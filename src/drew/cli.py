@@ -657,7 +657,10 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, num = text.split(":")
             if int(num) < 2:
                 raise UsageError("grid needs at least 2 points")
-            grid = np.round(np.linspace(float(start), float(stop), int(num)), 10).tolist()
+            ends = [float(start), float(stop)]
+            if not np.isfinite(ends).all():  # linspace would warn, then fill NaN
+                raise UsageError("grid points must be finite")
+            grid = np.round(np.linspace(*ends, int(num)), 10).tolist()
     except ValueError:
         raise UsageError("grid must be start:stop:num or comma-separated points") from None
     if not grid:
@@ -665,6 +668,18 @@ def _parse_grid(text: str) -> list[float]:
     if not np.isfinite(grid).all():
         raise UsageError("grid points must be finite")
     return grid
+
+
+def _attach_grid(argv: list[str]) -> list[str]:
+    """``--grid VALUE`` as ``--grid=VALUE`` where VALUE starts with one
+    ``-``: argparse takes such a value for an option unless it is a plain
+    negative number, so ``--grid -inf`` would never reach
+    :func:`_parse_grid` and its usage error."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--grid" and out[i + 1].startswith("-") and not out[i + 1].startswith("--"):
+            out[i : i + 2] = [f"--grid={out[i + 1]}"]
+    return out
 
 
 def cmd_capacity_curve(args) -> int:
@@ -794,7 +809,7 @@ def _emit_error(exc: CliError) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grid(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage problems; the contract reserves 2 for
         # data errors, so remap while keeping --help's clean exit.

@@ -2,7 +2,10 @@
 
 All estimators are Monte-Carlo at desk scale with named substreams per
 attack, so any record can be reproduced exactly from (store, seed).  The
-quantities mirror the routing analysis:
+paired accuracy run draws every attack's queries first and answers the
+suite as one batch (one decode, one rank scan, one routed scan), or as a
+few batches of whole attacks when it is large or ``workers`` asks for
+more.  The quantities mirror the routing analysis:
 
 * routing error ``epsilon_r`` = P(decoded cluster wrong | flagged reliable),
 * the accuracy split into a gain term (cluster scan wins where the full
@@ -28,6 +31,12 @@ from .synthetic import heldout_pool
 
 #: Reported redundancy values are capped here; beyond it they print as inf.
 REDUNDANCY_CAP = 1.0e6
+
+#: Queries per batch of the paired accuracy run, above which the suite is
+#: cut into batches of whole attacks: a batch's key decode and routed scan
+#: hold a few kB per query, so the default 2000 queries per attack stay
+#: near one attack's memory, while 150 per attack is one batch.
+_BATCH_QUERIES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -95,38 +104,55 @@ class AttackRecord:
         return doc
 
 
-def _evaluate_attack(
+def _suite_records(
     store: Store,
-    attack: AttackConfig,
+    attacks: list[AttackConfig],
     cfg: QueryConfig,
     n_queries: int,
     seed: int,
-    p_list: tuple[int, ...] = (2, 5, 10, 20),
-) -> AttackRecord:
-    spec = store.spec
-    keys, embs, gt_idx = _attack_queries(store, attack, n_queries, seed)
+    p_list: tuple[int, ...],
+) -> list[AttackRecord]:
+    """Paired records of ``attacks``, whose queries are answered as one batch.
+
+    Every attack's queries are drawn first and concatenated; then one
+    :func:`decode_scopes`, one :func:`scan_ranks` (the naive scan and every
+    ground-truth rank) and one :func:`route_and_scan` (the serving kernel:
+    routed where the decode is reliable and the cluster has members, a
+    full-store scan everywhere else) answer them all.  Every scan is
+    exact and every decode is per frame, so each attack's slice of the
+    batch is what the attack would get alone.
+    """
+    keys, embs, gt_idx = (np.concatenate(parts) for parts in zip(
+        *(_attack_queries(store, attack, n_queries, seed) for attack in attacks)))
     gt_ids = store.ids[gt_idx].astype(np.int64)
-    gt_cluster = store.clusters[gt_idx]
 
     dec_cluster, rel, scopes = decode_scopes(store, keys, cfg)
-    correct_cluster = dec_cluster == gt_cluster
+    correct_cluster = dec_cluster == store.clusters[gt_idx]
 
     naive_idx, naive_sim, gt_rank = scan_ranks(store.embeddings, store.ids, embs, gt_idx)
     naive_id = store.ids[naive_idx].astype(np.int64)
-
-    # the serving kernel: routed where the decode is reliable and the
-    # cluster has members, a full-store scan everywhere else
     order, offsets = store.cluster_index
     drew_idx, drew_sim, _ = route_and_scan(store.embeddings, store.ids, order, offsets,
                                            scopes, embs)
     drew_id = store.ids[drew_idx].astype(np.int64)
 
-    naive_matched = np.where(naive_sim >= cfg.tau_r, naive_id, NO_MATCH)
-    drew_matched = np.where(drew_sim >= cfg.tau_r, drew_id, NO_MATCH)
-    naive_right = naive_matched == gt_ids
-    drew_right = drew_matched == gt_ids
+    naive_right = np.where(naive_sim >= cfg.tau_r, naive_id, NO_MATCH) == gt_ids
+    drew_right = np.where(drew_sim >= cfg.tau_r, drew_id, NO_MATCH) == gt_ids
+    # two independent full-store scans must agree on every unrouted query
+    agree = (scopes >= 0) | ((drew_id == naive_id) & (drew_sim == naive_sim))
+    records = []
+    for i, attack in enumerate(attacks):
+        part = slice(i * n_queries, (i + 1) * n_queries)
+        records.append(_attack_record(attack, n_queries, seed, store.spec.k, p_list, rel[part],
+                                      correct_cluster[part], naive_right[part],
+                                      drew_right[part], agree[part], gt_rank[part]))
+    return records
 
-    n = float(len(gt_idx))
+
+def _attack_record(attack, n_queries, seed, k, p_list, rel, correct_cluster,
+                   naive_right, drew_right, agree, gt_rank) -> AttackRecord:
+    """One attack's record from its queries' per-query outcomes."""
+    n = float(n_queries)
     n_rel = int(rel.sum())
     loss_i = rel & ~correct_cluster
     gain_i = drew_right & ~naive_right & rel & correct_cluster
@@ -144,24 +170,17 @@ def _evaluate_attack(
     never_band = 3.0 * float(d_i.std(ddof=0)) / math.sqrt(n)
     never_worse_ok = bool(acc_drew >= acc_naive - eps - never_band)
 
-    # two independent full-store scans must agree on every unrouted query
-    unrouted = scopes < 0
-    fallback_identity = bool(
-        np.array_equal(drew_id[unrouted], naive_id[unrouted])
-        and np.array_equal(drew_sim[unrouted], naive_sim[unrouted])
-    )
-
     alpha = float((gt_rank == 1).mean())
     alpha_p = {int(p): float((gt_rank <= p).mean()) for p in p_list}
     bound = max(
-        lemma1_bound(alpha_p[p], alpha, spec.k, p) for p in p_list
+        lemma1_bound(alpha_p[p], alpha, k, p) for p in p_list
     )
 
     return AttackRecord(
         name=attack.name,
         p_a=attack.p_a,
         sigma=attack.sigma,
-        n_queries=int(n),
+        n_queries=n_queries,
         seed=seed,
         acc_drew=float(acc_drew),
         acc_naive=float(acc_naive),
@@ -177,7 +196,7 @@ def _evaluate_attack(
         eq1_band=eq1_band,
         eq1_ok=eq1_ok,
         never_worse_ok=never_worse_ok,
-        fallback_identity=fallback_identity,
+        fallback_identity=bool(agree.all()),
         alpha=alpha,
         alpha_p=alpha_p,
         lemma1_bound=float(bound),
@@ -215,22 +234,31 @@ def run_accuracy_eval(
 ) -> EvalReport:
     """Paired drew/naive accuracy over an attack suite.
 
-    Attacks are independent (disjoint substreams), so they may run in
-    parallel workers; records keep suite order either way.
+    The suite's queries are answered as one batch (:func:`_suite_records`)
+    when they number at most ``_BATCH_QUERIES``; otherwise, and when
+    ``workers`` > 1 asks for more, the suite is cut into that many
+    contiguous groups of attacks, each one batch, run ``workers`` at a
+    time on a pool of threads.  Attacks use disjoint substreams, so the
+    records are the same, in suite order, however the suite is cut.
     """
     if not store.clustered:
         raise ValueError("evaluation needs a preprocessed store")
     if n_queries < 1:
         raise ValueError("n_queries must be positive")
 
-    def one(attack):
-        return _evaluate_attack(store, attack, cfg, n_queries, seed, p_list)
+    def batch(group):
+        return _suite_records(store, group, cfg, n_queries, seed, p_list)
 
+    workers = max(1, workers)
+    count = max(workers, -(-len(attacks) * n_queries // _BATCH_QUERIES))
+    cuts = [len(attacks) * i // count for i in range(count + 1)]
+    groups = [attacks[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, attacks))
-    else:
-        records = [one(a) for a in attacks]
+            parts = list(pool.map(batch, groups))
+    else:  # on the calling thread, whose scans may split their products among the CPUs
+        parts = [batch(group) for group in groups]
+    records = [r for part in parts for r in part]
     spec = store.spec
     return EvalReport(
         store_size=len(store),

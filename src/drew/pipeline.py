@@ -2,14 +2,16 @@
 
 Every query, from ``drew query``, the library or ``drew eval``, runs
 through one kernel, :func:`route_and_scan`: each query has a scope, one
-cluster of a CSR layout or -1 for the whole store, and queries that share a
-scope share one exact scan.  :func:`decode_scopes` decodes the observed
-keys and picks the scopes: the decoded cluster when the decode looks
-reliable and the cluster has members, else the whole store, which makes a
-drew query behave exactly like the naive one.  :func:`batch_query` turns
-the scans into results, and ``drew_query`` / ``naive_query`` are its
-one-row calls.  A similarity floor ``tau_r`` turns weak best-matches into
-NO_MATCH.
+cluster of a CSR layout or -1 for the whole store; the queries of scope
+-1 share one exact full-store scan, and all routed queries of a batch
+share one segmented pass over their clusters
+(:func:`drew.store.scan_segments`).  :func:`decode_scopes` decodes the
+observed keys and picks the scopes: the decoded cluster when the decode
+looks reliable and the cluster has members, else the whole store, which
+makes a drew query behave exactly like the naive one.  :func:`batch_query`
+turns the scans into results, and ``drew_query`` / ``naive_query`` are
+its one-row calls.  A similarity floor ``tau_r`` turns weak best-matches
+into NO_MATCH.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import ecc
 from .channel import Query
-from .store import Store, _check_query_vector, assign_clusters, scan_top1
+from .store import Store, _check_query_vector, assign_clusters, scan_segments, scan_top1
 from .store import top_matches  # noqa: F401  kept as a traced name; see perfbench/spans.py
 
 #: matched_id sentinel: no stored item is claimed for the query.
@@ -108,41 +110,41 @@ def decode_scopes(store: Store, keys: np.ndarray, cfg: QueryConfig):
 
 
 def route_and_scan(embeddings, ids, order, offsets, scopes, queries):
-    """Exact top-1 of every query within its scope, one scan per scope.
+    """Exact top-1 of every query within its scope.
 
     ``scopes[j]`` is a label of the CSR layout ``(order, offsets)``
     (:func:`drew.store.csr_index`), whose rows must not be empty, or -1 for
     every row of ``embeddings``; ``order`` and ``offsets`` are not read
-    when every scope is -1.  Queries are grouped by one stable argsort
-    over ``scopes`` (a single query is its own group) and each group is
-    one :func:`scan_top1` call.  Every scan is exact, so a query's answer
-    does not depend on which queries share its group.
+    when every scope is -1.  The queries of scope -1 are one
+    :func:`scan_top1` call over the whole store, and all routed queries
+    are one :func:`scan_segments` pass, however many clusters they name.
+    A single query is one :func:`scan_top1` call over its scope, whose
+    fixed cost is the smaller one there.  Every scan is exact, so a
+    query's answer does not depend on which queries share its batch.
 
     Returns ``(row, sim, scope_size)`` per query: the best row's index into
     ``embeddings``, its similarity and the number of rows in its scope.
     """
     scopes = np.asarray(scopes)
     B = scopes.shape[0]
+    if B == 1 and scopes[0] >= 0:  # a small scope is rescored whole (store._scan_one)
+        label = int(scopes[0])
+        members = order[offsets[label] : offsets[label + 1]]
+        idx, sim = scan_top1(embeddings[members], ids[members], queries)
+        return members[idx], sim, np.array([members.size])
     row = np.empty(B, dtype=np.intp)
     sim = np.empty(B)
     size = np.empty(B, dtype=np.int64)
-    if B == 1:
-        groups = [(int(scopes[0]), slice(0, 1))]
-    else:
-        perm = np.argsort(scopes, kind="stable")
-        ordered = scopes[perm]
-        cuts = ((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist()
-        bounds = [0, *cuts, B] if B else []
-        groups = [(int(ordered[lo]), perm[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    for label, group in groups:
-        if label < 0:
-            members, mat, mat_ids = None, embeddings, ids
-        else:
-            members = order[offsets[label] : offsets[label + 1]]
-            mat, mat_ids = embeddings[members], ids[members]
-        idx, sim[group] = scan_top1(mat, mat_ids, queries[group])
-        row[group] = idx if members is None else members[idx]
-        size[group] = mat.shape[0]
+    full = np.flatnonzero(scopes < 0)
+    routed = np.flatnonzero(scopes >= 0)
+    if full.size:
+        row[full], sim[full] = scan_top1(embeddings, ids, queries[full])
+        size[full] = embeddings.shape[0]
+    if routed.size:
+        labels = scopes[routed]
+        row[routed], sim[routed] = scan_segments(embeddings, ids, order, offsets, labels,
+                                                 queries[routed])
+        size[routed] = offsets[labels + 1] - offsets[labels]
     return row, sim, size
 
 

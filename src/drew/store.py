@@ -12,8 +12,9 @@ and snaps values to the float32 grid, and the file stores float32.  A
 directly from float64 rows stays float64 and runs the same code.  Queries
 and every returned similarity are float64.
 
-Every scan runs one kernel, ``_exact_top``: a BLAS product in the rows'
-dtype picks candidates, and only candidates are rescored with the
+Every scan runs one method, in ``_exact_top`` and in its segmented form
+for batches of routed queries, :func:`scan_segments`: a BLAS product in
+the rows' dtype picks candidates, and only candidates are rescored with the
 fixed-order float64 einsum of ``_row_sims`` (rows cast up exactly), which
 alone produces the similarities that are returned ("compute in low
 precision, verify in high precision").  A row is a candidate when its BLAS
@@ -55,6 +56,15 @@ and every answer are the same bit for bit, and a scan holds no more
 memory than a serial one.  A scan that fits one chunk, such as a single
 query or a batch over one ~100-row cluster, starts no thread, and neither
 does a scan made on any thread but the main one (:func:`_scan_threads`).
+
+:func:`scan_segments` answers queries that each name their own cluster
+of a CSR layout in one pass: one stable argsort groups them by cluster,
+each group's BLAS product is written query-major into one flat pair
+buffer (a run of whole groups, which with its thresholds and candidate
+mask stays within ``_CHUNK_BYTES``), and per-query maxima, thresholds,
+candidates, rescore and order run once over all the segments of that
+buffer.  It starts no thread, except that a group too large for one run
+is a :func:`scan_top1` call of its own.
 
 The evaluation's scan (:func:`scan_ranks`) also returns each query's
 ground-truth rank under the same order, from the same BLAS block: with
@@ -461,6 +471,18 @@ def _margin(dtype: np.dtype, d: int) -> tuple[float, float, float]:
     return coef, floor, float(info.max) / 4.0
 
 
+def _widths(queries: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``2 * delta`` (:func:`_margin`) of every row of a float64 ``queries``
+    matrix, for rows of ``dtype``; raises unless every query norm is finite
+    and below that dtype's ``qmax``."""
+    qnorms = np.sqrt(np.einsum("bd,bd->b", queries, queries))
+    coef, floor, qmax = _margin(dtype, queries.shape[1])
+    if not np.maximum.reduce(qnorms, initial=0.0) < qmax:  # also false on NaN
+        raise ValueError("query embeddings must be finite (and of norm below "
+                         f"{qmax:.3g} for {dtype} rows)")
+    return 2.0 * coef * qnorms + 2.0 * floor
+
+
 def _blas_sims(mat: np.ndarray, Q: np.ndarray, threads: int = 1, maxima: bool = False):
     """``mat @ Q.T`` as an (N, B) block, with BLAS in ``mat``'s dtype.
 
@@ -523,14 +545,11 @@ def _outward(x: np.ndarray, dtype: np.dtype, toward: float) -> np.ndarray:
     return np.nextafter(x.astype(dtype), toward)
 
 
-def _rescore(mat, row, Q, qrow=None) -> np.ndarray:
-    """``_row_sims(mat[row], Q[qrow])`` in gathers of at most ``_CHUNK_BYTES``;
-    ``qrow`` None pairs ``row`` with the rows of ``Q`` in order."""
+def _rescore(mat, row, Q, qrow) -> np.ndarray:
+    """``_row_sims(mat[row], Q[qrow])`` in gathers of at most ``_CHUNK_BYTES``."""
     gather = max(1, _CHUNK_BYTES // ((mat.itemsize + 16) * mat.shape[1]))
     if row.size <= gather:
-        return _row_sims(mat[row], Q if qrow is None else Q[qrow])
-    if qrow is None:
-        qrow = np.arange(row.size)
+        return _row_sims(mat[row], Q[qrow])
     sims = np.empty(row.size)
     for s in range(0, row.size, gather):
         part = slice(s, s + gather)
@@ -568,15 +587,11 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
        docstring) bounds ``|b - einsum|``; the threshold is rounded down
        when cast to ``mat``'s dtype.  A dropped row then has ``einsum <
        t - delta``, strictly below the einsum of each of the p rows with
-       ``b >= t``, so it cannot reach the top p.  When the chunk fits one
-       BLAS product (a cluster scan), candidates are counted before they
-       are listed: when p = 1 and every query keeps one row, that row is
-       the BLAS argmax and no index list is built.  On a stacked block at
+       ``b >= t``, so it cannot reach the top p.  On a stacked block at
        p = 1 they are listed from the columns whose maximum reaches the
        threshold (:func:`_hot_list`).
     3. Rescore only the kept rows with :func:`_row_sims`, and order them
-       by (query, similarity desc, id asc) unless each query kept only
-       its argmax.
+       by (query, similarity desc, id asc).
 
     A single query at p = 1 over at most ``_SMALL_SCAN`` rows skips steps
     1-2, whose fixed cost is larger there than rescoring every row
@@ -597,18 +612,13 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     if gt_rows is not None and p != 1:
         raise ValueError("ranks are only computed for p = 1")
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    qnorms = np.sqrt(np.einsum("bd,bd->b", queries, queries))
-    coef, floor, qmax = _margin(mat.dtype, d)
-    if not np.maximum.reduce(qnorms, initial=0.0) < qmax:  # also false on NaN
-        raise ValueError("query embeddings must be finite (and of norm below "
-                         f"{qmax:.3g} for {mat.dtype} rows)")
+    widths = _widths(queries, mat.dtype)
     keep = min(p, N)
     if queries.shape[0] == 0:
         return (np.empty((0, keep), dtype=np.intp), np.empty((0, keep)),
                 None if gt_rows is None else np.empty(0, dtype=np.int64))
     if queries.shape[0] == 1 and N <= _SMALL_SCAN and keep == 1 and gt_rows is None:
         return _scan_one(mat, ids, queries[0])
-    widths = 2.0 * coef * qnorms + 2.0 * floor  # 2 * delta per query
     step = max(1, _CHUNK_BYTES // (mat.itemsize * N))
     threads = 1 if queries.shape[0] <= step else _scan_threads()
     out_rows, out_sims, out_ranks = [], [], []
@@ -618,36 +628,28 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
         width = widths[lo : lo + step]
         b, r, colmax = _blas_sims(mat, Q, threads, maxima=keep == 1)
         wide = b if r == 1 else b.reshape(-1, r * B)
-        amax = None
         if keep > 1:
             t = np.partition(b[:N], N - keep, axis=0)[N - keep]
-        elif r == 1:  # b is exactly (N, B): argmax finds t and its row
-            amax = b.argmax(axis=0)
-            t = colmax = b[amax, np.arange(B)]
+        elif r == 1:  # b is exactly (N, B)
+            t = colmax = b.max(axis=0)
         else:
             t = colmax.reshape(r, B).max(axis=0)
         thr = _outward(t - width, mat.dtype, -np.inf)
         if keep == 1 and r > 1:
             row, qrow, _ = _hot_list(wide, colmax, np.tile(thr, r), B, r)
         else:
-            mask = wide >= (thr if r == 1 else np.tile(thr, r))
-            if amax is not None and np.count_nonzero(mask) == B:
-                qrow, row = None, amax  # each query keeps only its argmax
-            else:
-                # row-major over (N, B): rows ascend; every query keeps >= keep
-                # (1-D flatnonzero runs far faster than a 2-D nonzero)
-                row, qrow = np.divmod(np.flatnonzero(mask), B)
-            del mask
+            # row-major over (N, B): rows ascend; every query keeps >= keep
+            # (1-D flatnonzero runs far faster than a 2-D nonzero)
+            row, qrow = np.divmod(np.flatnonzero(wide >= (thr if r == 1 else np.tile(thr, r))), B)
         sims = _rescore(mat, row, Q, qrow)
         if gt_rows is not None:
             out_ranks.append(_ranks(mat, ids, Q, wide, r, colmax, width / 2.0, t, thr,
                                     gt_rows[lo : lo + step], qrow, row, sims))
         del b, wide
-        if qrow is not None:
-            order = np.lexsort((ids[row], -sims, qrow))
-            starts = np.searchsorted(qrow[order], np.arange(B))
-            pick = order[starts[:, None] + np.arange(keep)]
-            row, sims = row[pick], sims[pick]
+        order = np.lexsort((ids[row], -sims, qrow))
+        starts = np.searchsorted(qrow[order], np.arange(B))
+        pick = order[starts[:, None] + np.arange(keep)]
+        row, sims = row[pick], sims[pick]
         out_rows.append(row.reshape(-1, keep))
         out_sims.append(sims.reshape(-1, keep))
     ranks = _join(out_ranks) if out_ranks else None
@@ -754,8 +756,7 @@ def _ranks(mat, ids, Q, wide, r, colmax, delta, t, thr, g, qrow, row, sims) -> n
     ``wide`` is the chunk's BLAS block ``b`` viewed as lines of ``r``
     whole rows (:func:`_blas_sims`), ``colmax`` its column maxima, ``t``
     each query's BLAS maximum, ``thr`` its shortlist threshold and (qrow,
-    row, sims) the rescored shortlist (``qrow`` None: one row per query, in
-    order).  With ``gsim`` the einsum of the ground-truth row, a row with
+    row, sims) the rescored shortlist.  With ``gsim`` the einsum of the ground-truth row, a row with
     ``b > hi >= gsim + delta`` is ahead (its einsum exceeds gsim), a row
     with ``b < lo <= gsim - delta`` is behind, and rows in [lo, hi] are
     rescored.  Where ``t <= hi`` and ``lo >= thr``, nothing is ahead
@@ -766,8 +767,6 @@ def _ranks(mat, ids, Q, wide, r, colmax, delta, t, thr, g, qrow, row, sims) -> n
     threshold +inf, so they are never hot and list nothing.
     """
     B = Q.shape[0]
-    if qrow is None:
-        qrow = np.arange(B)
     gsim = _row_sims(mat[g], Q)
     gid = ids[g]
     hi = _outward(gsim + delta, mat.dtype, np.inf)
@@ -817,6 +816,101 @@ def scan_ranks(embeddings: np.ndarray, ids: np.ndarray, queries: np.ndarray,
     rows, sims, ranks = _exact_top(embeddings, ids, queries, 1,
                                    np.asarray(gt_rows, dtype=np.intp))
     return rows[:, 0], sims[:, 0], ranks
+
+
+def scan_segments(embeddings: np.ndarray, ids: np.ndarray, order: np.ndarray,
+                  offsets: np.ndarray, labels: np.ndarray,
+                  queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact argmax of each query row over the rows of its own label, for
+    all labels in one segmented pass.
+
+    ``labels[j]`` is a label of the CSR layout ``(order, offsets)``
+    (:func:`csr_index`) whose rows must not be empty.  Returns (best_index,
+    best_sim) per query, the index into ``embeddings``, ties broken by
+    ascending id: bit for bit what :func:`scan_top1` returns over that
+    label's rows, since both return the (einsum similarity desc, id asc)
+    first row and only the shortlist that leads to it differs.
+
+    The pass is :func:`_exact_top`'s shortlist-then-rescore over the
+    inverted lists of an IVF index (Jegou, Douze and Schmid, IEEE TPAMI
+    33(1), 2011), kept exact.  One stable argsort groups the queries by
+    label.  A group's pairs (its queries times its label's rows) are its
+    share of the pass; the groups are cut, whole, into runs of at most
+    ``_CHUNK_BYTES // (2 * itemsize + 1)`` pairs, so that a run's pair
+    buffer, its per-pair thresholds and its candidate mask together stay
+    within ``_CHUNK_BYTES``.  In a run, each group's rows are gathered
+    once and its BLAS product (:func:`_blas_sims`, so no product wakes
+    BLAS's threads) is written, query-major, into one flat pair buffer,
+    which holds every query's similarities to its label's rows as one
+    contiguous segment.  Over all segments at once: each query's BLAS
+    maximum (``np.maximum.reduceat``), its ``t - 2*delta`` threshold
+    rounded outward, the candidates at or above it, their
+    :func:`_row_sims` rescore and one lexsort on (query, -similarity, id).
+    A group with more pairs than one run holds, such as most queries of a
+    batch over a few large clusters, is one :func:`scan_top1` call over
+    its rows instead, whose fixed cost is small beside its scan and which
+    may split its query chunks among threads.
+    """
+    labels = np.asarray(labels)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    widths = _widths(queries, embeddings.dtype)
+    B = labels.shape[0]
+    perm = np.argsort(labels, kind="stable")
+    heads = np.flatnonzero(np.diff(labels[perm], prepend=-1))  # each group's first query
+    counts = np.diff(heads, append=B)
+    first = offsets[labels[perm[heads]]]  # where each group's rows start in ``order``
+    sizes = offsets[labels[perm[heads]] + 1] - first
+    if not sizes.all():
+        raise ValueError("cannot scan an empty scope")
+    pairs = counts * sizes
+    limit = max(1, _CHUNK_BYTES // (2 * embeddings.itemsize + 1))
+    best = np.empty(B, dtype=np.intp)
+    sim = np.empty(B)
+    for g in np.flatnonzero(pairs > limit).tolist():
+        group = perm[heads[g] : heads[g] + counts[g]]
+        rows = order[first[g] : first[g] + sizes[g]]
+        idx, sim[group] = scan_top1(embeddings[rows], ids[rows], queries[group])
+        best[group] = rows[idx]
+    small = pairs <= limit
+    sorted_q = perm[np.repeat(small, counts)]  # the small groups' queries, group by group
+    first, sizes, counts, pairs = first[small], sizes[small], counts[small], pairs[small]
+    ends, q_ends = np.cumsum(pairs), np.cumsum(counts)
+    lo = 0
+    while lo < pairs.size:
+        hi = int(np.searchsorted(ends, ends[lo] - pairs[lo] + limit, "right"))
+        run = sorted_q[q_ends[lo] - counts[lo] : q_ends[hi - 1]]
+        best[run], sim[run] = _segment_run(embeddings, ids, order, first[lo:hi], sizes[lo:hi],
+                                           counts[lo:hi], queries[run], widths[run])
+        lo = hi
+    return best, sim
+
+
+def _segment_run(mat, ids, order, first, sizes, counts, Q, width):
+    """:func:`scan_segments` over one run of groups: group g's rows of
+    ``order`` start at ``first[g]`` and number ``sizes[g]``, and its
+    ``counts[g]`` queries are the next rows of ``Q``; ``width`` is each
+    query's ``2*delta``."""
+    B = Q.shape[0]
+    seg = np.repeat(sizes, counts)  # each query's segment length
+    starts = np.cumsum(seg) - seg  # and start in the pair buffer
+    pairs = np.empty(int(starts[-1] + seg[-1]), dtype=mat.dtype)
+    Qc = Q.astype(mat.dtype)
+    q = s = 0
+    for f, n, c in zip(first.tolist(), sizes.tolist(), counts.tolist()):
+        b = _blas_sims(mat[order[f : f + n]], Qc[q : q + c])[0]
+        pairs[s : s + c * n].reshape(c, n)[...] = b[:n].T
+        q, s = q + c, s + c * n
+    t = np.maximum.reduceat(pairs, starts)
+    thr = _outward(t - width, mat.dtype, -np.inf)
+    at = np.flatnonzero(pairs >= np.repeat(thr, seg))
+    del pairs
+    qrow = np.searchsorted(starts, at, "right") - 1  # ascending, as ``at`` is
+    row = order[at + (np.repeat(first, counts) - starts)[qrow]]
+    sims = _rescore(mat, row, Q, qrow)
+    if at.size > B:  # some query kept more than its BLAS argmax
+        pick = np.lexsort((ids[row], -sims, qrow))[np.searchsorted(qrow, np.arange(B))]
+        row, sims = row[pick], sims[pick]
+    return row, sims
 
 
 # ---------------------------------------------------------------------------

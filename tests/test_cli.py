@@ -360,6 +360,45 @@ def test_eval_small_full_run_deterministic(tmp_path, capsys):
     assert len(acc) > 1 and all(len(r.split(",")) == 7 for r in acc[1:])
 
 
+#: SHA-256 of every file ``drew eval --only accuracy,epsilon,lemma1,subset``
+#: writes for a 3000 x 16 store at the golden's code shape (k=10, n=100).
+_EVAL_PINS = {
+    "report.json":
+        "97486b32ce032eef105e3247e39333c5660183e63ac834e91803e14e1b688d78",
+    "accuracy.csv":
+        "7670d7c6a0be0b268ed36bb21578cee09c9c75a43f341bed49b025166017be5f",
+    "epsilon.csv":
+        "2cde561c0bd4962b80c883edb64ee0746ef8b6595adeb45fc0be810dd862bf43",
+    "subset.csv":
+        "b32c0bb5d77de8c4a87f3cf4223a4ad5bc7e4c29adfa23679f55c0d270590fc8",
+}
+_PINNED_EVAL = ["eval", "--store", "s.drew", "--out-dir", "out",
+                "--only", "accuracy,epsilon,lemma1,subset",
+                "--n-queries", "150", "--n-trials", "2500", "--seed", "7"]
+
+
+def _pinned_eval_files(tmp_path, monkeypatch, capsys, workers):
+    """Run the pinned eval in ``tmp_path`` (relative paths, so the report's
+    store path is the same in every run); returns {file name: bytes}."""
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "s.drew").exists():
+        _build_store(tmp_path / "s.drew", count=3000, d=16, k=10, n=100, seed=5)
+    code, out, err = _run(capsys, _PINNED_EVAL + ["--workers", str(workers)])
+    assert code == 0 and err == "", out + err
+    return {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
+
+
+def test_eval_output_bytes_pinned(tmp_path, monkeypatch, capsys):
+    files = _pinned_eval_files(tmp_path, monkeypatch, capsys, workers=1)
+    assert json.loads(files["report.json"])["epsilon_golden"]["status"] == "ok"
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in files.items()} == _EVAL_PINS
+
+
+def test_eval_workers_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    one = _pinned_eval_files(tmp_path, monkeypatch, capsys, workers=1)
+    assert _pinned_eval_files(tmp_path, monkeypatch, capsys, workers=3) == one
+
+
 def test_eval_golden_check_passes_at_spec_shape(tmp_path, capsys):
     store_path = tmp_path / "s.drew"
     _build_store(store_path, count=300, d=8, k=10, n=100)
@@ -532,6 +571,20 @@ def test_bad_grid_is_a_usage_error(capsys, command, grid):
                           if command == "ecc-bench" else [command, "--grid", grid])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("command", ["capacity-curve", "ecc-bench"])
+@pytest.mark.parametrize("grid", ["-inf", "-nan", "-inf,0.1", "-inf:0.5:3"])
+@pytest.mark.parametrize("attached", [False, True])
+def test_grid_starting_with_a_dash_reaches_the_grid_parser(capsys, command, grid, attached):
+    """``--grid -inf`` and ``--grid=-inf`` both get the grid parser's JSON
+    usage error, not argparse's plain-text one."""
+    argv = [command, f"--grid={grid}"] if attached else [command, "--grid", grid]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "UsageError"
+    assert doc["message"] == "grid points must be finite"
 
 
 def test_gate_flags_and_defaults_have_one_owner():

@@ -12,7 +12,6 @@ from drew import evaluation
 from drew.channel import AttackConfig, AttackStreams, attack_rows, default_suite
 from drew.evaluation import (
     _attack_queries,
-    _evaluate_attack,
     _keyless_queries,
     capacity_curve,
     check_epsilon_goldens,
@@ -78,9 +77,14 @@ def test_attack_queries_reject_out_of_dataset(small_store):
         _attack_queries(small_store, ood, 5, seed=1)
 
 
+def _record(store, attack, cfg, n_queries, seed):
+    """The record of a one-attack suite."""
+    (rec,) = run_accuracy_eval(store, [attack], cfg, n_queries, seed).attacks
+    return rec
+
+
 def test_identity_attack_record(small_store):
-    rec = _evaluate_attack(small_store, AttackConfig("id", 0.0, 0.0),
-                           QueryConfig(), 300, seed=4)
+    rec = _record(small_store, AttackConfig("id", 0.0, 0.0), QueryConfig(), 300, seed=4)
     assert rec.acc_drew == 1.0
     assert rec.acc_naive == 1.0
     assert rec.p_reliable == 1.0
@@ -112,7 +116,7 @@ def test_fallback_identity_can_fail(small_store, tmp_path, capsys, monkeypatch):
 
     cfg = QueryConfig(reliability_threshold=1e9)  # every query falls back
     attack = AttackConfig("noisy", 0.1, 0.3)
-    assert _evaluate_attack(small_store, attack, cfg, 100, seed=4).fallback_identity
+    assert _record(small_store, attack, cfg, 100, seed=4).fallback_identity
     path = tmp_path / "s.drew"
     save_store(small_store, path)
     argv = ["eval", "--store", str(path), "--only", "accuracy", "--n-queries", "60",
@@ -121,7 +125,7 @@ def test_fallback_identity_can_fail(small_store, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     _misroute_first_fallback(monkeypatch)
-    assert not _evaluate_attack(small_store, attack, cfg, 100, seed=4).fallback_identity
+    assert not _record(small_store, attack, cfg, 100, seed=4).fallback_identity
     assert main(argv + ["--out-dir", str(tmp_path / "bad")]) == 3
     violations = json.loads(capsys.readouterr().out)["violations"]
     assert violations and all(v.startswith("fallback identity failed") for v in violations)
@@ -150,6 +154,34 @@ def test_report_determinism_and_worker_invariance(small_store):
     b = run_accuracy_eval(small_store, suite, QueryConfig(), 200, seed=8)
     c = run_accuracy_eval(small_store, suite, QueryConfig(), 200, seed=8, workers=4)
     assert a.to_dict() == b.to_dict() == c.to_dict()
+    # one batch for the suite gives each attack the record it gets alone
+    alone = [_record(small_store, attack, QueryConfig(), 200, seed=8) for attack in suite]
+    assert a.attacks == alone
+
+
+def test_suite_batches_split_by_query_budget(small_store, monkeypatch):
+    """The suite is one batch up to ``_BATCH_QUERIES`` queries, and beyond
+    it (or for more workers) contiguous groups of whole attacks, with the
+    same records either way."""
+    suite = default_suite()[:6]
+    whole = run_accuracy_eval(small_store, suite, QueryConfig(), 200, seed=8)
+    batches = []
+    real = evaluation._suite_records
+
+    def logged(store, group, *args):
+        batches.append([a.name for a in group])
+        return real(store, group, *args)
+
+    monkeypatch.setattr(evaluation, "_suite_records", logged)
+    names = [a.name for a in suite]
+    for budget, workers, want in ((1200, 1, [names]),
+                                  (450, 1, [names[:2], names[2:4], names[4:]]),
+                                  (1200, 4, [names[:1], names[1:3], names[3:4], names[4:]])):
+        batches.clear()
+        monkeypatch.setattr(evaluation, "_BATCH_QUERIES", budget)
+        report = run_accuracy_eval(small_store, suite, QueryConfig(), 200, seed=8, workers=workers)
+        assert report.to_dict() == whole.to_dict()
+        assert sorted(batches) == sorted(want)
 
 
 def test_run_accuracy_eval_validation(small_store):

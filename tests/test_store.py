@@ -21,12 +21,14 @@ from drew.store import (
     StoreFormatError,
     _row_sims,
     assign_clusters,
+    csr_index,
     export_csv,
     ingest,
     ingest_csv,
     load_store,
     save_store,
     scan_ranks,
+    scan_segments,
     scan_top1,
     top_matches,
 )
@@ -510,6 +512,130 @@ def test_chunked_scans_equal_one_pass(monkeypatch):
         _assert_ranks_exact(store, queries, gt)
 
 
+def _tied_segments_case(dtype):
+    """(embeddings, ids, labels, queries, query labels): 40 random unit rows
+    plus two more copies of the first 20, ids descending with the row, so
+    each tie is won by its last copy; the copies share their row's label.
+    Labels 4-13 hold one row each, label 14 none."""
+    rng = substream(14, "segments")
+    d = 16
+    base = rng.standard_normal((40, d))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    labels = np.empty(40, dtype=np.int64)
+    labels[:20] = rng.integers(0, 4, size=20)
+    labels[20:30] = 4 + np.arange(10)
+    labels[30:] = rng.integers(0, 4, size=10)
+    emb = np.concatenate([base, base[:20], base[:20]]).astype(dtype)
+    ids = (np.arange(80)[::-1] * 3 + 5).astype(np.uint64)
+    noisy = base[rng.integers(0, 40, size=30)] + 0.3 * rng.standard_normal((30, d))
+    queries = np.concatenate([emb[:30].astype(np.float64), noisy])
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    qlabels = np.concatenate([labels[:30], rng.integers(0, 14, size=30)])
+    return emb, ids, np.concatenate([labels, labels[:20], labels[:20]]), queries, qlabels
+
+
+def _ulp_segments_case(dtype):
+    """The same, for 8 clusters of float32-ulp near-ties: only a correct
+    margin keeps each segment's exact einsum winner."""
+    store, pair = _ulp_tie_store(3, dtype)
+    rng = substream(3, "ulp-segments")
+    rows = rng.integers(0, len(store), size=40)
+    noisy = store.embeddings[rows] + 1e-3 * rng.standard_normal((40, store.d))
+    queries = np.concatenate([pair, pair, noisy.astype(np.float64)])
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    qlabels = np.concatenate([[0, 1, 5, 7], store.clusters[rows]])
+    return store.embeddings, store.ids, store.clusters, queries, qlabels
+
+
+def _per_scope_top1(emb, ids, order, offsets, scopes, queries):
+    """Reference: one :func:`scan_top1` call per distinct scope, over its
+    cluster's rows, or over every row for scope -1."""
+    want_row = np.empty(len(scopes), dtype=np.intp)
+    want_sim = np.empty(len(scopes))
+    for label in np.unique(scopes):
+        group = np.flatnonzero(scopes == label)
+        members = np.arange(len(ids)) if label < 0 else order[offsets[label] : offsets[label + 1]]
+        idx, want_sim[group] = scan_top1(emb[members], ids[members], queries[group])
+        want_row[group] = members[idx]
+    return want_row, want_sim
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", [_tied_segments_case, _ulp_segments_case])
+def test_segmented_pass_equals_per_cluster_scans(monkeypatch, dtype, case):
+    """One segmented pass gives each query what :func:`scan_top1` gives over
+    its cluster, bit for bit: in a batch per cluster and alone, for exact
+    ties won by the least id, one-row clusters and float32-ulp near-ties,
+    in one run of pairs, in runs of at most ``_CHUNK_BYTES`` each, and
+    with the groups too large for a run scanned by :func:`scan_top1`."""
+    emb, ids, labels, queries, qlabels = case(dtype)
+    order, offsets = csr_index(labels, int(labels.max()) + 2)  # the last label is empty
+    sizes = np.diff(offsets)
+    assert sizes[-1] == 0
+    assert (sizes[qlabels] == 1).any() == (case is _tied_segments_case)
+    want_row, want_sim = _per_scope_top1(emb, ids, order, offsets, qlabels, queries)
+    for j in range(len(qlabels)):
+        ref_ids, ref_sims = _reference_top(emb[labels == qlabels[j]],
+                                           ids[labels == qlabels[j]], queries[j], 1)
+        assert (ids[want_row[j]], _bits(want_sim[j])) == (ref_ids[0], _bits(ref_sims[0]))
+
+    runs, whole = [], []
+    real_run, real_top1 = store_mod._segment_run, store_mod.scan_top1
+
+    def logged_run(mat, ids_, order_, first, sizes_, counts, Q, width):
+        runs.append(int((sizes_ * counts).sum()))
+        return real_run(mat, ids_, order_, first, sizes_, counts, Q, width)
+
+    def logged_top1(mat, ids_, Q):
+        whole.append(mat.shape[0] * Q.shape[0])
+        return real_top1(mat, ids_, Q)
+
+    monkeypatch.setattr(store_mod, "_segment_run", logged_run)
+    monkeypatch.setattr(store_mod, "scan_top1", logged_top1)
+    pairs = np.bincount(qlabels, minlength=len(sizes)) * sizes
+    per_pair = 2 * emb.itemsize + 1  # pair, threshold and mask bytes
+    big = int(pairs.max())
+    for chunk, scanned_whole in ((store_mod._CHUNK_BYTES, []), (per_pair * big, []),
+                                 (per_pair * (big - 1), [big] * int((pairs == big).sum()))):
+        runs.clear()
+        whole.clear()
+        monkeypatch.setattr(store_mod, "_CHUNK_BYTES", chunk)
+        row, sim = scan_segments(emb, ids, order, offsets, qlabels, queries)
+        assert np.array_equal(row, want_row)
+        assert np.array_equal(_bits(sim), _bits(want_sim))
+        assert all(n * per_pair <= chunk for n in runs)
+        assert sum(runs) + sum(whole) == int(pairs.sum())
+        assert whole == scanned_whole
+        assert len(runs) == 1 if chunk > per_pair * pairs.sum() else len(runs) > 2
+    for j in range(len(qlabels)):  # one query alone is one run of one segment
+        row, sim = scan_segments(emb, ids, order, offsets, qlabels[j : j + 1], queries[j : j + 1])
+        assert (row[0], _bits(sim[0])) == (want_row[j], _bits(want_sim[j]))
+
+
+def test_segmented_pass_mixed_with_full_scopes():
+    """``route_and_scan`` answers scope -1 with one full-store scan and
+    every other scope with the segmented pass; each answer is the one its
+    scope's own :func:`scan_top1` call gives."""
+    from drew.pipeline import route_and_scan
+
+    emb, ids, labels, queries, qlabels = _tied_segments_case(np.float32)
+    order, offsets = csr_index(labels, 15)
+    scopes = np.where(substream(15, "mixed-scopes").random(len(qlabels)) < 0.3, -1, qlabels)
+    assert (scopes < 0).sum() > 1 and (scopes >= 0).sum() > 1
+    row, sim, size = route_and_scan(emb, ids, order, offsets, scopes, queries)
+    want_row, want_sim = _per_scope_top1(emb, ids, order, offsets, scopes, queries)
+    assert np.array_equal(row, want_row)
+    assert np.array_equal(_bits(sim), _bits(want_sim))
+    assert np.array_equal(size, np.where(scopes < 0, len(ids), np.diff(offsets)[scopes]))
+
+
+def test_segmented_pass_rejects_an_empty_cluster():
+    emb, ids, labels, queries, _ = _tied_segments_case(np.float32)
+    order, offsets = csr_index(labels, 15)
+    with pytest.raises(ValueError, match="empty scope"):
+        scan_segments(emb, ids, order, offsets, np.array([0, 14]), queries[:2])
+
+
 def _logged_runs(patch, log):
     """Wrap ``_in_threads`` so that every run of BLAS products logs the
     thread that computed it and then yields the CPU for a moment: the other
@@ -688,6 +814,25 @@ def test_blas_calls_stay_single_threaded_size(monkeypatch, batch):
     assert len(log.madds) > 1
     assert max(log.madds) <= store_mod._BLAS_MADDS
     assert sum(log.madds) == batch * len(store) * 64
+
+
+def test_segmented_products_stay_single_threaded_size(monkeypatch):
+    """The segmented pass keeps every BLAS product within ``_BLAS_MADDS``
+    too, for groups too large for one product, and its products cover each
+    query's cluster rows once."""
+    store = assign_clusters(synthetic_store(5000, 64, seed=4), 2, seed=4,
+                            spec=ecc.construct_code(2, 8, 0.1))
+    rng = substream(3, "segment-blocks")
+    queries = rng.standard_normal((200, 64))
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    labels = rng.integers(0, 4, size=200)
+    order, offsets = store.cluster_index
+    log = _MatmulLog()
+    monkeypatch.setattr(store_mod, "np", log)
+    scan_segments(store.embeddings, store.ids, order, offsets, labels, queries)
+    assert len(log.madds) > 4
+    assert max(log.madds) <= store_mod._BLAS_MADDS
+    assert sum(log.madds) == int(np.diff(offsets)[labels].sum()) * 64
 
 
 def _thread_ticks() -> dict[int, int]:
