@@ -5,38 +5,49 @@ Run:  python3 benchmarks/bench_scan.py [--count 100000] [--d 64]
 Builds a synthetic store (ids 0..count-1, k=10 clusters) and times, per
 query, the full-store ``top_matches`` at p=1, ``top_matches`` on the
 cluster whose size is closest to 99 rows, full-store ``scan_top1`` at
-batch sizes 1, 4, 16, 41 and 150, the evaluation's rank scan of 150
-queries at noise σ = 0.3 (nearly every column needs the rank band, so
-the whole block is compared) and at σ = 0.1 (most ground truths rank
-first, as for eval's attacked queries, so only the hot columns are), and
-one ``drew_query`` call at a time (gate ``min-bit`` 5, as perfbench's
-``lookup``) on 50 routed queries (clean keys) and on 20 that fall back to
-the full store (random keys the gate rejects).  Then the segmented pass:
-``route_and_scan`` of 10000 queries, each routed to its row's own
-cluster, and of the default suite's 18 in-dataset attacks at 150 queries
-each as ``drew eval`` draws them (2700 queries, scopes from the default
-gate), plus the rank scan of that suite batch.  Each row is the median of
-7 passes with the [min-max] range; a pass runs the same fixed queries.
-Each row then gives the CPU milliseconds that threads other than the
-caller used during its passes (the process CPU clock, which keeps the
-time of threads that have ended, less the calling thread's own clock):
-about 0 while every BLAS product runs on the calling thread, and the
-work of a scan's own threads where it starts any.  Last comes a digest of
-every returned id, similarity and rank, so two checkouts that print the
-same digest gave bit-identical answers.
+batch sizes 1, 4, 16, 41, 64, 150 and 2700 (one query; batches of fewer
+than a tile's 64 queries, whose row tiles hold up to 16 MB, so that at
+the default 100k rows each is one tile and starts no thread; one tile of
+queries; and the batches of perfbench's eval), the evaluation's rank
+scan of 150 queries at noise σ = 0.3 (nearly every ground truth lies
+deep, so most tiles list a wide band) and at σ = 0.1 (most ground truths
+rank first, as for eval's attacked queries, so only the hot columns are
+listed), and one ``drew_query`` call at a time (gate ``min-bit`` 5, as
+perfbench's ``lookup``) on 50 routed queries (clean keys) and on 20 that
+fall back to the full store (random keys the gate rejects).  Then the
+segmented pass: ``route_and_scan`` of 10000 queries, each routed to its
+row's own cluster, and of the default suite's 18 in-dataset attacks at
+150 queries each as ``drew eval`` draws them (2700 queries, scopes from
+the default gate), plus the rank scan of that suite batch.  Then large
+routed scopes, whose groups are whole-scope ``scan_top1`` calls:
+``cluster_subset_accuracy`` as ``drew eval``'s subset stage runs it,
+over k = 0, 2, ..., 12 with 2000 queries (k = 0 is the whole store, k =
+2 four clusters of ~25k rows), and ``route_and_scan`` of 10000 routed
+queries on a k = 2 store.  Each row is the median of 7 passes with the
+[min-max] range; a pass runs the same fixed queries.  Each row then
+gives the CPU milliseconds that threads other than the caller used
+during its passes (the process CPU clock, which keeps the time of
+threads that have ended, less the calling thread's own clock): about 0
+while every BLAS product runs on the calling thread, and the work of a
+scan's own threads where it starts any.  Last comes a digest of every
+returned id, similarity and rank, so two checkouts that print the same
+digest gave bit-identical answers.  The rank scans of 150 queries and of
+the suite batch are then run once more each under ``tracemalloc``, whose
+peak is printed in MiB.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 
 from drew import ecc
-from drew.channel import Query, default_suite
-from drew.evaluation import _attack_queries
+from drew.channel import AttackConfig, Query, default_suite
+from drew.evaluation import _attack_queries, cluster_subset_accuracy
 from drew.pipeline import QueryConfig, decode_scopes, drew_query, preprocess, route_and_scan
 from drew.rng import substream
 from drew.store import FULL, scan_top1, top_matches
@@ -111,7 +122,7 @@ def main() -> None:
     mat, ids = store.embeddings, store.ids
     single, _ = _queries(store, 50, 0.3, "single")
     routed, _ = _queries(store, 400, 0.3, "routed")
-    batch, _ = _queries(store, 41 * 8, 0.3, "batch")
+    batch, _ = _queries(store, 2700, 0.3, "batch")
     ranked = {0.3: _queries(store, 150, 0.3, "ranked"),
               0.1: _queries(store, 150, 0.1, "ranked-0.1")}
 
@@ -140,7 +151,7 @@ def main() -> None:
         (f"top_matches cluster p=1 ({int(sizes[cluster])} rows)",
          lambda: [top_matches(store, cluster, q, p=1) for q in routed], len(routed)),
     ]
-    for B in (1, 4, 16, 41, 150):
+    for B in (1, 4, 16, 41, 64, 150, 2700):
         fn, n = scan_batches(B)
         cases.append((f"scan_top1 FULL B={B}", fn, n))
     for sigma, (qs, gt) in ranked.items():
@@ -163,6 +174,15 @@ def main() -> None:
     cases.append((f"eval rank scan, suite batch, {len(suite_q)} queries",
                   lambda: scan_ranks(mat, ids, suite_q, suite_gt), len(suite_q)))
 
+    subset = AttackConfig(name="subset-regime", p_a=0.0, sigma=0.5)  # drew eval's subset stage
+    cases.append(("cluster_subset_accuracy k=0,2..12, 2000 queries",
+                  lambda: cluster_subset_accuracy(store, subset, range(0, 13, 2), 2000, 11), 2000))
+    k2 = preprocess(synthetic_store(args.count, args.d, seed=7), k=2, seed=7)
+    k2_order, k2_offsets = k2.cluster_index
+    cases.append(("route_and_scan k=2 store, 10000 routed queries",
+                  lambda: route_and_scan(k2.embeddings, k2.ids, k2_order, k2_offsets,
+                                         k2.clusters[seg_rows], seg_q), len(seg_q)))
+
     print(f"store: N={len(store)} d={store.d} dtype={store.embeddings.dtype}")
     print(f"per-query us, median of {PASSES} passes, [min-max] in brackets, "
           "CPU ms of other threads, output digest")
@@ -170,6 +190,13 @@ def main() -> None:
         med, lo, hi, out, other = _time(fn, n)
         print(f"{name:46s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  "
               f"{other:7.1f}  {_digest(out)}")
+    for label, (qs, gt) in (("150 queries, σ=0.3", ranked[0.3]),
+                            (f"suite batch, {len(suite_q)} queries", (suite_q, suite_gt))):
+        tracemalloc.start()
+        scan_ranks(mat, ids, qs, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"eval rank scan, {label}: tracemalloc peak {peak / 2**20:.2f} MiB")
 
 
 if __name__ == "__main__":

@@ -38,6 +38,15 @@ REDUNDANCY_CAP = 1.0e6
 #: near one attack's memory, while 150 per attack is one batch.
 _BATCH_QUERIES = 4096
 
+#: Trials of :func:`estimate_epsilon_r` whose keys are flipped, decoded and
+#: counted at a time: about 1 MB of temporaries, which glibc keeps serving
+#: from its heap once any larger block has been freed.  Whole 20000-trial
+#: draws (16 MB of flip draws) took fresh pages from the kernel unless an
+#: earlier stage had happened to free a block as large: after the rank
+#: scan's 1 MiB tiles, the perfbench-shape epsilon stage took 13-15k minor
+#: page faults that way, against 0.9-1.0k in blocks (2-vCPU VM).
+_TRIAL_BLOCK = 1024
+
 
 # ---------------------------------------------------------------------------
 # query synthesis
@@ -256,7 +265,7 @@ def run_accuracy_eval(
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(batch, groups))
-    else:  # on the calling thread, whose scans may split their products among the CPUs
+    else:  # on the calling thread, whose scans may split their rows among the CPUs
         parts = [batch(group) for group in groups]
     records = [r for part in parts for r in part]
     spec = store.spec
@@ -302,6 +311,12 @@ def estimate_epsilon_r(
 ) -> EpsilonEstimate:
     """Monte-Carlo P(decoded cluster wrong | reliable) for one attack.
 
+    Trials draw their stored rows 20000 at a time, as they always have:
+    numpy's bounded-integer draws give other values when a draw is split.
+    Keys are flipped, decoded and counted ``_TRIAL_BLOCK`` trials at a
+    time, so the stage's temporaries stay near a megabyte; the flip draws
+    run in order, so blocks of any size see the values of one whole draw.
+
     When no trial raises the reliable flag the estimate is reported as 0
     with ``low_support`` set; the caller decides what to make of it.
     """
@@ -315,17 +330,17 @@ def estimate_epsilon_r(
     n_rel = 0
     chunk = 20000
     for lo in range(0, n_trials, chunk):
-        count = min(chunk, n_trials - lo)
-        gt_idx = smp.integers(0, len(store), size=count)
-        gt_cluster = store.clusters[gt_idx]
-        keys = store.cluster_keys[gt_cluster]
-        if attack.p_a > 0.0:
-            keys = keys ^ (kstream.random(keys.shape) < attack.p_a).astype(np.uint8)
-        dec, rel = ecc.decode_keys(
-            store.spec, keys, cfg.reliability_threshold, cfg.reliability_mode
-        )
-        n_rel += int(rel.sum())
-        wrong_reliable += int((rel & (dec != gt_cluster)).sum())
+        gt_idx = smp.integers(0, len(store), size=min(chunk, n_trials - lo))
+        for start in range(0, gt_idx.size, _TRIAL_BLOCK):
+            gt_cluster = store.clusters[gt_idx[start : start + _TRIAL_BLOCK]]
+            keys = store.cluster_keys[gt_cluster]
+            if attack.p_a > 0.0:
+                keys ^= kstream.random(keys.shape) < attack.p_a
+            dec, rel = ecc.decode_keys(
+                store.spec, keys, cfg.reliability_threshold, cfg.reliability_mode
+            )
+            n_rel += int(rel.sum())
+            wrong_reliable += int((rel & (dec != gt_cluster)).sum())
     low = n_rel == 0
     return EpsilonEstimate(
         p_a=attack.p_a,
@@ -380,7 +395,7 @@ def check_epsilon_goldens(
             reliability_threshold=float(golden["threshold"]),
             reliability_mode=str(golden["reliability_mode"]),
         )
-    n_run = int(n_trials or golden["n_trials"])
+    n_run = int(golden["n_trials"] if n_trials is None else n_trials)
     rows = []
     all_ok = True
     for point in golden["points"]:

@@ -40,22 +40,33 @@ outward when they are cast to the rows' dtype.  Results are therefore
 identical to an einsum scan of the whole scope followed by a full
 (similarity desc, id asc) sort.
 
-The BLAS block of a chunk of B queries is laid out (N, B), row-major:
-``mat @ Q.T``.  It is computed by one stacked ``np.matmul`` whose every
-matrix is a block of rows small enough (``_BLAS_MADDS`` multiply-adds per
-product) that BLAS never wakes its worker threads, and per-query maxima,
-threshold compares and candidate lists run over a view of r whole rows per
-line, so numpy's loops span long contiguous runs (:func:`_blas_sims`).
-When a scan holds more queries than one chunk, the stacked products of
-each chunk's block are split among as many threads as the process has
-CPUs, the caller one of them (:func:`_in_threads`; the parallel
-brute-force search of FAISS, Johnson, Douze and Jegou 2017, with
-single-threaded BLAS in each thread).  Every product is the one a serial
-scan computes, written to the same place of the same block, so the block
-and every answer are the same bit for bit, and a scan holds no more
-memory than a serial one.  A scan that fits one chunk, such as a single
-query or a batch over one ~100-row cluster, starts no thread, and neither
-does a scan made on any thread but the main one (:func:`_scan_threads`).
+A scan streams tiles: at most ``_TILE_QUERIES`` = 64 queries by as many
+rows as keep the tile's BLAS similarities within ``_TILE_BYTES`` = 1 MiB
+(4096 rows of float32 at d = 64), so that a tile stays in a core's L2
+cache while it is reduced and listed, and no batch of that many queries
+builds a block of all rows by all of them.  A scan of fewer than ``_TILE_QUERIES`` queries reads each row
+once, so a cache-sized tile saves it nothing and costs it a tile's fixed
+numpy calls many times over: its tiles hold up to ``_CHUNK_BYTES`` of
+similarities instead (one tile for up to 41 queries over 100k rows at
+d = 64).  A tile is one stacked ``np.matmul`` whose every matrix is a
+block of rows small enough (``_BLAS_MADDS`` multiply-adds per product)
+that BLAS never wakes its worker threads, and per-query maxima, threshold
+compares and candidate lists run over a view of r whole rows per line, so
+numpy's loops span long contiguous runs (:func:`_blas_sims`).  Each query keeps a running bound, never above its p-th
+largest BLAS similarity, and a tile keeps only its entries within
+``2*delta`` of that bound (plus, for ranks, the ground-truth band below);
+after the last tile the bound is exact and the same margin selects the
+candidates, so the tiles change no answer.  When a scan has more than one
+row tile, its rows are cut into ranges of whole tiles that as many threads
+as the process has CPUs take in turn, the caller one of them
+(:func:`_in_threads`; the parallel brute-force search of FAISS, Johnson,
+Douze and Jegou 2017, with single-threaded BLAS in each thread).  The
+ranges merge by a maximum over their bounds, a concatenation of their
+kept entries and a sum of their counts, so every answer is the serial
+one bit for bit, and a scan holds at most one tile of similarities per
+thread.  A scan of one row tile, such as a single query over the whole
+store or any cluster scan, starts no thread, and neither does a scan made
+on any thread but the main one (:func:`_scan_threads`).
 
 :func:`scan_segments` answers queries that each name their own cluster
 of a CSR layout in one pass: one stable argsort groups them by cluster,
@@ -67,12 +78,11 @@ buffer.  It starts no thread, except that a group too large for one run
 is a :func:`scan_top1` call of its own.
 
 The evaluation's scan (:func:`scan_ranks`) also returns each query's
-ground-truth rank under the same order, from the same BLAS block: with
+ground-truth rank under the same order, in the same pass: with
 ``g = einsum(q, gt_row)``, a row whose BLAS similarity exceeds
-``g + delta`` is ahead outright, one below ``g - delta`` is behind, and
-only rows within ``delta`` of ``g`` are rescored to settle their order.
-When the query's BLAS maximum is at most ``g + delta``, that band lies
-inside the argmax shortlist and no extra pass is made.
+``g + delta`` is ahead outright and is counted where its tile is listed,
+one below ``g - delta`` is behind, and only rows within ``delta`` of
+``g``, which every tile keeps, are rescored to settle their order.
 
 Binary layout (all little-endian): magic ``DREWSTOR``, u16 version, u32 d,
 u32 k, u64 N, u32 metadata length, metadata JSON (the code spec document
@@ -428,9 +438,23 @@ def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     )
 
 
-#: Upper bound, in bytes, on one chunk's BLAS similarity block and on one
-#: rescore gather; scans of many queries are split to stay under it.
+#: Upper bound, in bytes, on one rescore gather, on one run of the
+#: segmented pass (:func:`scan_segments`) and on one tile of a scan of
+#: fewer than ``_TILE_QUERIES`` queries (:func:`_exact_top`).
 _CHUNK_BYTES = 16 << 20
+
+#: Upper bound, in bytes, on the BLAS similarities of one tile of
+#: :func:`_exact_top` for a batch of at least ``_TILE_QUERIES`` queries:
+#: with its queries and rows, a tile stays in a core's L2 cache while it
+#: is reduced and listed.
+_TILE_BYTES = 1 << 20
+
+#: Most queries in one tile of :func:`_exact_top`.  At d = 64, OpenBLAS
+#: 0.3.31's SkylakeX sgemm ran the (32 x 64) by (64 x 64) products of a
+#: 64-query tile at 44-70 GMAC/s on one thread, 1.5-2.3 times the rate of
+#: the (49 x 64) by (64 x 41) products of the 41-query chunks this
+#: replaced, measured in the same rounds (2-vCPU VM).
+_TILE_QUERIES = 64
 
 #: Multiply-adds per BLAS product of the candidate scan: the limit holds
 #: for each matrix of the stacked ``np.matmul`` in :func:`_blas_sims`,
@@ -441,8 +465,8 @@ _CHUNK_BYTES = 16 << 20
 #: a second or more after a process starts, every threaded call takes a
 #: scheduler time slice (~8 ms on a 2-vCPU VM) instead of ~1.3 ms for a
 #: full 100k x 64 scan, so scan times would depend on thread placement.
-#: A scan that splits its products among threads of its own
-#: (:func:`_blas_sims`) keeps this limit on each product, so BLAS's
+#: A scan that splits its rows among threads of its own
+#: (:func:`_exact_top`) keeps this limit on each product, so BLAS's
 #: workers stay idle then too.
 _BLAS_MADDS = 1 << 17
 
@@ -483,7 +507,7 @@ def _widths(queries: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return 2.0 * coef * qnorms + 2.0 * floor
 
 
-def _blas_sims(mat: np.ndarray, Q: np.ndarray, threads: int = 1, maxima: bool = False):
+def _blas_sims(mat: np.ndarray, Q: np.ndarray):
     """``mat @ Q.T`` as an (N, B) block, with BLAS in ``mat``'s dtype.
 
     ``Q`` is rounded to ``mat``'s dtype and transposed once into a
@@ -493,50 +517,38 @@ def _blas_sims(mat: np.ndarray, Q: np.ndarray, threads: int = 1, maxima: bool = 
     issues one BLAS product per stacked matrix, so none exceeds
     ``_BLAS_MADDS`` multiply-adds and each runs on the calling thread,
     while the per-call cost of a Python-level loop of small products is
-    paid once per chunk.  With ``threads`` > 1 the stacked matrices are cut
-    into ``4 * threads`` runs that that many threads take in turn
-    (:func:`_in_threads`); each product still writes its own rows of
-    ``b``, so the block is the one a single thread computes.
+    paid once per block.
 
-    Returns ``(b, r, colmax)``: ``b`` has a multiple of ``r`` rows, the
-    first N of them the similarities and any further ones -inf, so that
-    ``b.reshape(-1, r * B)`` views it as lines of ``r`` whole rows, over
-    which per-query reductions and compares run in long contiguous loops
-    rather than B elements at a time.  A scan that fits one product
-    returns its (N, B) block as the transpose of a contiguous (B, N) one,
-    with ``r = 1``: per-query argmax then runs along contiguous memory, so
-    small cluster scans cost no more than a query-major block did.
-    With ``maxima`` and ``r > 1``, ``colmax`` is ``b``'s column maxima over
-    those lines, taken by each run over its own lines while they are still
-    in cache; otherwise it is None.  Summation order may differ from one
-    block size to the next; :func:`_exact_top` only needs each value
-    within ``gamma_d * |row| * |q|`` of the exact dot product of the
-    rounded query, which any order is.
+    Returns ``(b, parts)``.  A part ``(wide, r, first)`` views rows
+    ``first`` onward as lines of ``r`` whole rows, entry ``(line, c)``
+    being row ``first + line * r + c // B`` for query ``c % B``, so that
+    per-query reductions and compares run in long contiguous loops rather
+    than B elements at a time: the stacked products' rows are one part,
+    and the last, shorter product's rows one more, of a single line.  A
+    block that fits one product is the transpose of a contiguous (B, N)
+    one, a single part with ``r = 1``: per-query maxima then run along
+    contiguous memory, so small cluster scans cost no more than a
+    query-major block did.  Summation order may differ from one block
+    size to the next; :func:`_exact_top` only needs each value within
+    ``gamma_d * |row| * |q|`` of the exact dot product of the rounded
+    query, which any order is.
     """
     Q = Q.astype(mat.dtype, copy=False)
     B, d = Q.shape
     N = mat.shape[0]
     r = max(1, _BLAS_MADDS // (B * d))
-    if r >= N:  # one product, stored query-major: per-query argmax is contiguous
-        return np.matmul(Q, mat.T).T, 1, None
+    if r >= N:  # one product, stored query-major: per-query maxima are contiguous
+        b = np.matmul(Q, mat.T).T
+        return b, [(b, 1, 0)]
     Qt = np.ascontiguousarray(Q.T)
     stacked = N - N % r
-    b = np.empty((stacked + (r if stacked < N else 0), B), dtype=mat.dtype)
-    mats = mat[:stacked].reshape(-1, r, d)
-    outs = b[:stacked].reshape(-1, r, B)
-    run = -(-len(mats) // (4 * threads)) if threads > 1 else len(mats)
-    maxes = [b[stacked:].reshape(-1)] if stacked < N else []  # the last, padded line
-
-    def products(lo: int) -> None:
-        np.matmul(mats[lo : lo + run], Qt, out=outs[lo : lo + run])
-        if maxima:
-            maxes.append(outs[lo : lo + run].reshape(-1, r * B).max(axis=0))
-
+    b = np.empty((N, B), dtype=mat.dtype)
+    np.matmul(mat[:stacked].reshape(-1, r, d), Qt, out=b[:stacked].reshape(-1, r, B))
+    parts = [(b[:stacked].reshape(-1, r * B), r, 0)]
     if stacked < N:
-        np.matmul(mat[stacked:], Qt, out=b[stacked:N])
-        b[N:] = -np.inf
-    _in_threads(products, range(0, len(mats), run), threads)
-    return b, r, np.max(maxes, axis=0) if maxima else None
+        np.matmul(mat[stacked:], Qt, out=b[stacked:])
+        parts.append((b[stacked:].reshape(1, -1), N - stacked, stacked))
+    return b, parts
 
 
 def _outward(x: np.ndarray, dtype: np.dtype, toward: float) -> np.ndarray:
@@ -577,30 +589,42 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     picks which rows get rescored (the shortlist-then-rerank pattern of
     FAISS, Johnson, Douze, Jegou 2017, kept exact):
 
-    1. ``b = mat @ Q.T`` with BLAS in ``mat``'s dtype (:func:`_blas_sims`,
-       one stacked call of single-threaded row blocks), in query chunks
-       whose (N, chunk) block stays under ``_CHUNK_BYTES``.  A scan of
-       two chunks or more splits each block's products among
-       :func:`_scan_threads` threads.
+    1. ``b = mat @ Q.T`` with BLAS in ``mat``'s dtype, in tiles of at most
+       ``_TILE_QUERIES`` queries by as many whole row blocks as keep the
+       tile's similarities within ``_TILE_BYTES`` (``_CHUNK_BYTES`` for a
+       batch of fewer queries; :func:`_scan_rows`, one stacked call of
+       single-threaded products per tile).
     2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
        p-th largest ``b`` and ``delta`` (:func:`_margin`, module
        docstring) bounds ``|b - einsum|``; the threshold is rounded down
        when cast to ``mat``'s dtype.  A dropped row then has ``einsum <
        t - delta``, strictly below the einsum of each of the p rows with
-       ``b >= t``, so it cannot reach the top p.  On a stacked block at
-       p = 1 they are listed from the columns whose maximum reaches the
-       threshold (:func:`_hot_list`).
+       ``b >= t``, so it cannot reach the top p.  Each tile compares
+       against the bound ``m <= t`` known so far and keeps the entries at
+       or above ``m - 2*delta`` (:func:`_scan_rows`), a superset; after the
+       last tile ``t`` is known and only those at or above ``t - 2*delta``
+       remain.
     3. Rescore only the kept rows with :func:`_row_sims`, and order them
        by (query, similarity desc, id asc).
 
-    A single query at p = 1 over at most ``_SMALL_SCAN`` rows skips steps
-    1-2, whose fixed cost is larger there than rescoring every row
-    (:func:`_scan_one`); the answer is the same, since every similarity
-    returned comes from :func:`_row_sims` either way.
+    A scan of more than one row tile splits its rows into ranges of whole
+    tiles that :func:`_scan_threads` threads take in turn
+    (:func:`_in_threads`); the ranges' bounds merge by maximum, their kept
+    entries by concatenation and their counts by sum, so the answer is the
+    serial one bit for bit.  A single query at p = 1 over at most
+    ``_SMALL_SCAN`` rows skips steps 1-2, whose fixed cost is larger there
+    than rescoring every row (:func:`_scan_one`); the answer is the same,
+    since every similarity returned comes from :func:`_row_sims` either
+    way.
 
     ``ranks`` is None unless ``gt_rows`` (p = 1 only) gives one row per
-    query; then it holds that row's 1-based rank in the same order, found
-    from the same BLAS block (:func:`_ranks`).
+    query; then it holds that row's 1-based rank in the same order.  With
+    ``gsim`` the einsum of the ground-truth row, ``lo = gsim - delta`` and
+    ``hi = gsim + delta`` (rounded outward), a row with ``b > hi`` is ahead
+    (its einsum exceeds gsim), one with ``b < lo`` is behind, and the rows
+    in [lo, hi], which the tiles always keep, are rescored to settle their
+    order.  Since the ground-truth row has ``b >= lo``, ``m`` starts at
+    ``lo``.
 
     Preconditions: rows of ``mat`` are unit norm within ``_NORM_TOL``
     (true of every subset of a :class:`Store`); query norms are taken as
@@ -614,54 +638,126 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     widths = _widths(queries, mat.dtype)
     keep = min(p, N)
-    if queries.shape[0] == 0:
+    B = queries.shape[0]
+    if B == 0:
         return (np.empty((0, keep), dtype=np.intp), np.empty((0, keep)),
                 None if gt_rows is None else np.empty(0, dtype=np.int64))
-    if queries.shape[0] == 1 and N <= _SMALL_SCAN and keep == 1 and gt_rows is None:
+    if B == 1 and N <= _SMALL_SCAN and keep == 1 and gt_rows is None:
         return _scan_one(mat, ids, queries[0])
-    step = max(1, _CHUNK_BYTES // (mat.itemsize * N))
-    threads = 1 if queries.shape[0] <= step else _scan_threads()
-    out_rows, out_sims, out_ranks = [], [], []
-    for lo in range(0, queries.shape[0], step):
-        Q = queries[lo : lo + step]
-        B = Q.shape[0]
-        width = widths[lo : lo + step]
-        b, r, colmax = _blas_sims(mat, Q, threads, maxima=keep == 1)
-        wide = b if r == 1 else b.reshape(-1, r * B)
-        if keep > 1:
-            t = np.partition(b[:N], N - keep, axis=0)[N - keep]
-        elif r == 1:  # b is exactly (N, B)
-            t = colmax = b.max(axis=0)
-        else:
-            t = colmax.reshape(r, B).max(axis=0)
-        thr = _outward(t - width, mat.dtype, -np.inf)
-        if keep == 1 and r > 1:
-            row, qrow, _ = _hot_list(wide, colmax, np.tile(thr, r), B, r)
-        else:
-            # row-major over (N, B): rows ascend; every query keeps >= keep
-            # (1-D flatnonzero runs far faster than a 2-D nonzero)
-            row, qrow = np.divmod(np.flatnonzero(wide >= (thr if r == 1 else np.tile(thr, r))), B)
-        sims = _rescore(mat, row, Q, qrow)
-        if gt_rows is not None:
-            out_ranks.append(_ranks(mat, ids, Q, wide, r, colmax, width / 2.0, t, thr,
-                                    gt_rows[lo : lo + step], qrow, row, sims))
-        del b, wide
-        order = np.lexsort((ids[row], -sims, qrow))
-        starts = np.searchsorted(qrow[order], np.arange(B))
-        pick = order[starts[:, None] + np.arange(keep)]
-        row, sims = row[pick], sims[pick]
-        out_rows.append(row.reshape(-1, keep))
-        out_sims.append(sims.reshape(-1, keep))
-    ranks = _join(out_ranks) if out_ranks else None
-    return _join(out_rows), _join(out_sims), ranks
+    band = None
+    if gt_rows is not None:
+        gsim = _row_sims(mat[gt_rows], queries)
+        band = (_outward(gsim - widths / 2.0, mat.dtype, -np.inf),
+                _outward(gsim + widths / 2.0, mat.dtype, np.inf))
+    step = min(B, _TILE_QUERIES)
+    r = max(1, _BLAS_MADDS // (step * d))
+    budget = _TILE_BYTES if B >= _TILE_QUERIES else _CHUNK_BYTES  # module docstring
+    span = max(1, budget // (mat.itemsize * step) // r) * r  # rows per tile
+    tiles = -(-N // span)
+    threads = 1 if tiles == 1 else _scan_threads()
+    per = span * (-(-tiles // (4 * threads)) if threads > 1 else tiles)  # rows per range
+    Qc = queries.astype(mat.dtype)
+    found = []
+
+    def scan(lo: int) -> None:
+        found.append(_scan_rows(mat[lo : lo + per], lo, Qc, widths, keep, band, step, span))
+
+    _in_threads(scan, range(0, N, per), threads)
+    bounds, counts, rows, qrows, vals = zip(*found)
+    row, qrow, val = _join(rows), _join(qrows), _join(vals)
+    if keep == 1:
+        t = functools.reduce(np.maximum, bounds)
+    else:  # each query's keep-th largest kept value, the keep-th largest of all
+        by = np.lexsort((-val, qrow))
+        t = val[by[np.searchsorted(qrow[by], np.arange(B)) + keep - 1]]
+    hit = val >= _outward(t - widths, mat.dtype, -np.inf)[qrow]
+    ranks = None
+    if band is None:
+        row, qrow = row[hit], qrow[hit]
+        sims = _rescore(mat, row, queries, qrow)
+    else:
+        inband = (val >= band[0][qrow]) & (val <= band[1][qrow])
+        either = hit | inband
+        row, qrow, hit, inband = row[either], qrow[either], hit[either], inband[either]
+        sims = _rescore(mat, row, queries, qrow)
+        bq = qrow[inband]
+        ahead = _ahead(ids, row[inband], sims[inband], ids[gt_rows[bq]], gsim[bq])
+        ranks = 1 + np.sum(counts, axis=0) + np.bincount(bq[ahead], minlength=B)
+        row, qrow, sims = row[hit], qrow[hit], sims[hit]
+    order = np.lexsort((ids[row], -sims, qrow))
+    pick = order[np.searchsorted(qrow[order], np.arange(B))[:, None] + np.arange(keep)]
+    return row[pick], sims[pick], ranks
+
+
+def _scan_rows(mat, first, Q, widths, keep, band, step, span):
+    """One range of :func:`_exact_top`'s rows, ``mat`` (rows ``first``
+    onward of the scope), in tiles of ``span`` rows by ``step`` queries of
+    ``Q`` (the queries in ``mat``'s dtype), one :func:`_tile` at a time.
+
+    The running bound ``m`` of each query is the largest tile maximum so
+    far at ``keep`` = 1, and the largest tile ``keep``-th largest so far
+    otherwise (-inf while a tile has fewer rows); with ``band = (lo, hi)``
+    it starts at ``lo``.  Returns ``(m, counts, row, qrow, val)``: the
+    bounds, the counts of rows ahead outright (None without a band), and
+    the kept entries' scope rows, query rows and BLAS values.
+    """
+    B = Q.shape[0]
+    m = np.full(B, -np.inf, dtype=mat.dtype) if band is None else band[0].copy()
+    counts = None if band is None else np.zeros(B, dtype=np.intp)
+    blocks = [(q, slice(q, q + step)) for q in range(0, B, step)]
+    blocks = [(q, Q[part], widths[part], m[part],
+               None if band is None else (band[0][part], band[1][part], counts[part]))
+              for q, part in blocks]
+    rows, qrows, vals = [], [], []
+    for a in range(0, mat.shape[0], span):
+        tile = mat[a : a + span]
+        for q, *block in blocks:
+            for row, qrow, val in _tile(tile, *block, keep):
+                rows.append(row + (first + a))
+                qrows.append(qrow + q)
+                vals.append(val)
+    return m, counts, _join(rows), _join(qrows), _join(vals)
+
+
+def _tile(mat, Q, widths, bound, band, keep):
+    """The kept entries of one tile of :func:`_scan_rows`, the BLAS block
+    of the rows ``mat`` by the queries ``Q``, reduced and listed while it
+    is in cache; a list of ``(row, qrow, val)`` parts, rows and query rows
+    counted from the tile's first.
+
+    ``bound`` (a view of the running bounds, updated in place) takes the
+    tile's maxima, or its ``keep``-th largest values.  The tile lists its
+    entries at or above ``min(bound - 2*delta, lo)`` (rounded down) with
+    :func:`_hot_list`; with ``band = (lo, hi, counts)`` an entry above
+    ``hi`` is added to its query's count (in place) and kept only if it is
+    also at or above ``bound - 2*delta``.
+    """
+    b, parts = _blas_sims(mat, Q)
+    colmax = [np.maximum.reduce(wide) if len(wide) > 1 else wide[0] for wide, _, _ in parts]
+    if keep == 1:
+        for (_, r, _), cmax in zip(parts, colmax):
+            np.maximum(bound, np.maximum.reduce(cmax.reshape(r, -1)), out=bound)
+    elif len(b) >= keep:
+        np.maximum(bound, np.partition(b, len(b) - keep, axis=0)[len(b) - keep], out=bound)
+    thr = _outward(bound - widths, mat.dtype, -np.inf)
+    floor = thr if band is None else np.minimum(thr, band[0])
+    kept = []
+    for (wide, r, off), cmax in zip(parts, colmax):
+        row, qrow, val = _hot_list(wide, cmax, floor, r)
+        if band is not None:
+            up = val > band[1][qrow]
+            np.add(band[2], np.bincount(qrow[up], minlength=len(thr)), out=band[2])
+            stay = ~up | (val >= thr[qrow])
+            row, qrow, val = row[stay], qrow[stay], val[stay]
+        kept.append((row + off if off else row, qrow, val))
+    return kept
 
 
 def _scan_threads() -> int:
-    """Threads a scan of several query chunks may use: the CPUs this
-    process may run on, for a scan on the main thread.  A scan on any
-    other thread runs alone: whatever started that thread, such as the
-    attack pool of ``drew eval --workers``, already spreads work over the
-    CPUs."""
+    """Threads a scan of several row tiles may use: the CPUs this process
+    may run on, for a scan on the main thread.  A scan on any other thread
+    runs alone: whatever started that thread, such as the attack pool of
+    ``drew eval --workers``, already spreads work over the CPUs."""
     if threading.current_thread() is not threading.main_thread():
         return 1
     try:
@@ -721,69 +817,34 @@ def _scan_one(mat, ids, q):
     return np.array([[row]], dtype=np.intp), sims[row : row + 1][None], None
 
 
-def _hot_list(wide, colmax, col_thr, B, r):
+def _hot_list(wide, colmax, thr, r):
     """``(row, qrow, value)`` of every entry of a BLAS block at or above its
-    column's threshold, in row-major order over (N, B).
+    query's threshold ``thr[qrow]``, in row-major order over (N, B).
 
-    ``wide`` is the block viewed as lines of ``r`` whole rows
-    (:func:`_blas_sims`), ``colmax`` its column maxima and ``col_thr`` the
-    threshold of each of its ``r * B`` columns.  Only columns whose maximum
-    reaches the threshold can hold an entry, so when those ("hot" columns)
-    are few, only they are gathered and compared, and the full-block mask
-    (one pass to write, one more to list) is never built.  Entry
-    ``(line, c)`` is row ``line * r + c // B`` for query ``c % B``, and hot
-    columns ascend, so the order is that of ``flatnonzero`` over the whole
-    block.  Gathering costs more per value than a compare, so when more
-    than a quarter of the columns are hot (a 2-vCPU VM broke even near
-    that share) the whole block is compared instead.
+    ``wide`` is a part of the block, lines of ``r`` whole rows
+    (:func:`_blas_sims`), and ``colmax`` the maxima of its ``r * B`` columns.
+    Only columns whose maximum reaches the threshold can hold an entry, so
+    when those ("hot" columns) are few, only they are gathered and
+    compared, and the full-block mask (one pass to write, one more to
+    list) is never built.  Entry ``(line, c)`` is row ``line * r + c // B``
+    for query ``c % B``, and hot columns ascend, so the order is that of
+    ``flatnonzero`` over the whole block.  Gathering costs more per value
+    than a compare, so when more than a quarter of the columns are hot (a
+    2-vCPU VM broke even near that share), or the block is one line, the
+    whole block is compared instead.
     """
-    hot = np.flatnonzero(colmax >= col_thr)
-    if 4 * hot.size > col_thr.size:
-        at = np.flatnonzero(wide >= col_thr)
-        row, qrow = np.divmod(at, B)
-        return row, qrow, wide.ravel()[at]
-    sub = np.take(wide, hot, axis=1)
-    at = np.flatnonzero(sub >= col_thr[hot])
-    line, j = np.divmod(at, hot.size)
-    off, qrow = np.divmod(hot[j], B)
-    return line * r + off, qrow, sub.ravel()[at]
-
-
-def _ranks(mat, ids, Q, wide, r, colmax, delta, t, thr, g, qrow, row, sims) -> np.ndarray:
-    """1-based rank of row ``g[j]`` for query ``Q[j]`` in the (einsum
-    similarity desc, id asc) order, from one chunk of :func:`_exact_top`.
-
-    ``wide`` is the chunk's BLAS block ``b`` viewed as lines of ``r``
-    whole rows (:func:`_blas_sims`), ``colmax`` its column maxima, ``t``
-    each query's BLAS maximum, ``thr`` its shortlist threshold and (qrow,
-    row, sims) the rescored shortlist.  With ``gsim`` the einsum of the ground-truth row, a row with
-    ``b > hi >= gsim + delta`` is ahead (its einsum exceeds gsim), a row
-    with ``b < lo <= gsim - delta`` is behind, and rows in [lo, hi] are
-    rescored.  Where ``t <= hi`` and ``lo >= thr``, nothing is ahead
-    outright and [lo, hi] lies inside the shortlist, so the shortlist alone
-    settles the rank.  The other queries share one more pass,
-    :func:`_hot_list` with ``lo`` as each column's threshold, which lists
-    their rows at or above ``lo``; the settled queries' columns have
-    threshold +inf, so they are never hot and list nothing.
-    """
-    B = Q.shape[0]
-    gsim = _row_sims(mat[g], Q)
-    gid = ids[g]
-    hi = _outward(gsim + delta, mat.dtype, np.inf)
-    lo = _outward(gsim - delta, mat.dtype, -np.inf)
-    ahead = _ahead(ids, row, sims, gid[qrow], gsim[qrow])
-    ranks = 1 + np.bincount(qrow[ahead], minlength=B)
-    need = (t > hi) | (lo < thr)
-    if need.any():
-        lo = np.where(need, lo, np.inf)
-        brow, bq, vals = _hot_list(wide, colmax, np.tile(lo, r), B, r)
-        up = vals > hi[bq]
-        sure = np.bincount(bq[up], minlength=B)
-        brow, bq = brow[~up], bq[~up]
-        bsims = _rescore(mat, brow, Q, bq)
-        band = _ahead(ids, brow, bsims, gid[bq], gsim[bq])
-        ranks = np.where(need, 1 + sure + np.bincount(bq[band], minlength=B), ranks)
-    return ranks
+    B = thr.size
+    if wide.shape[0] > 1:
+        hot = np.flatnonzero(colmax.reshape(r, B) >= thr)
+        if 4 * hot.size <= colmax.size:
+            off, hq = np.divmod(hot, B)
+            sub = np.take(wide, hot, axis=1)
+            at = np.flatnonzero(sub >= thr[hq])
+            line, j = np.divmod(at, hot.size)
+            return line * r + off[j], hq[j], sub.ravel()[at]
+    at = np.flatnonzero(wide.reshape(-1, B) >= thr)
+    row, qrow = np.divmod(at, B)
+    return row, qrow, wide.ravel()[at]
 
 
 def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
@@ -793,9 +854,9 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
     Returns (best_index, best_sim) per query, ties broken by ascending id.
     This is :func:`top_matches` with p=1 on a batch: both run
     :func:`_exact_top`, so the results agree bit for bit.  Candidates come
-    from one stacked, single-threaded BLAS product in the rows' dtype per
-    chunk of queries (at most ``_CHUNK_BYTES`` = 16 MB of similarities per
-    chunk, split among threads when there are several chunks);
+    from stacked, single-threaded BLAS products in the rows' dtype, one
+    tile of at most ``_TILE_BYTES`` = 1 MiB of similarities at a time (the
+    row tiles split among threads when there are several);
     only rows within ``2*delta`` of each query's BLAS maximum are rescored
     in float64 with :func:`_row_sims`, where ``delta`` (module docstring)
     bounds the BLAS vs einsum gap.  Rows must be unit norm within
@@ -849,7 +910,7 @@ def scan_segments(embeddings: np.ndarray, ids: np.ndarray, order: np.ndarray,
     A group with more pairs than one run holds, such as most queries of a
     batch over a few large clusters, is one :func:`scan_top1` call over
     its rows instead, whose fixed cost is small beside its scan and which
-    may split its query chunks among threads.
+    may split its row tiles among threads.
     """
     labels = np.asarray(labels)
     queries = np.ascontiguousarray(queries, dtype=np.float64)
@@ -897,8 +958,8 @@ def _segment_run(mat, ids, order, first, sizes, counts, Q, width):
     Qc = Q.astype(mat.dtype)
     q = s = 0
     for f, n, c in zip(first.tolist(), sizes.tolist(), counts.tolist()):
-        b = _blas_sims(mat[order[f : f + n]], Qc[q : q + c])[0]
-        pairs[s : s + c * n].reshape(c, n)[...] = b[:n].T
+        b, _ = _blas_sims(mat[order[f : f + n]], Qc[q : q + c])
+        pairs[s : s + c * n].reshape(c, n)[...] = b.T
         q, s = q + c, s + c * n
     t = np.maximum.reduceat(pairs, starts)
     thr = _outward(t - width, mat.dtype, -np.inf)

@@ -481,6 +481,19 @@ def test_eval_rejects_zero_queries(tmp_path, capsys, stage):
     assert doc["error"] == "DataError" and doc["message"] == "n_queries must be positive"
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_eval_rejects_non_positive_trials(tmp_path, capsys, trials):
+    """``--n-trials 0`` is rejected like any count below one, rather than
+    read as "unset", which ran the golden file's trial count and reported 0."""
+    store_path = tmp_path / "s.drew"
+    _build_store(store_path, count=200, d=8, k=10, n=100)
+    code, out, err = _run(capsys, ["eval", "--store", str(store_path), "--only", "epsilon",
+                                   "--n-trials", trials, "--out-dir", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DataError" and doc["message"] == "n_trials must be positive"
+
+
 # ---------------------------------------------------------------------------
 # config file and environment
 # ---------------------------------------------------------------------------

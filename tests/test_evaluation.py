@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from drew import evaluation
+from drew import ecc, evaluation
 from drew.channel import AttackConfig, AttackStreams, attack_rows, default_suite
 from drew.evaluation import (
     _attack_queries,
@@ -216,6 +216,39 @@ def test_epsilon_validation(small_store):
     with pytest.raises(ValueError):
         estimate_epsilon_r(synthetic_store(20, 8, seed=1),
                            AttackConfig("c", 0.0, 0.0), 10, seed=1)
+
+
+def _whole_draw_epsilon(store, attack, n_trials, seed, cfg):
+    """Reference for :func:`estimate_epsilon_r`: each 20000-trial sample
+    flipped by one whole draw and decoded as one batch; returns
+    (wrong and reliable, reliable)."""
+    smp = substream(seed, f"epsilon/{attack.name}/sample")
+    kstream = substream(seed, f"epsilon/{attack.name}/key")
+    wrong = reliable = 0
+    for lo in range(0, n_trials, 20000):
+        gt = smp.integers(0, len(store), size=min(20000, n_trials - lo))
+        clusters = store.clusters[gt]
+        keys = store.cluster_keys[clusters]
+        keys = keys ^ (kstream.random(keys.shape) < attack.p_a).astype(np.uint8)
+        dec, rel = ecc.decode_keys(store.spec, keys, cfg.reliability_threshold,
+                                   cfg.reliability_mode)
+        reliable += int(rel.sum())
+        wrong += int((rel & (dec != clusters)).sum())
+    return wrong, reliable
+
+
+@pytest.mark.parametrize("block", [7, 1024])
+def test_epsilon_blocks_give_the_whole_draws_estimate(small_store, monkeypatch, block):
+    """Flipping, decoding and counting in blocks of 7 or 1024 trials gives
+    the estimate of whole 20000-trial draws, over 45000 trials, which
+    cross two sample boundaries and end in a partial block."""
+    cfg = QueryConfig(reliability_threshold=5.0, reliability_mode="min-bit")
+    attack = AttackConfig("flip_0.2", 0.2, 0.0)
+    wrong, reliable = _whole_draw_epsilon(small_store, attack, 45000, 8, cfg)
+    assert 0 < wrong and reliable < 45000  # the gate and the decoder both matter
+    monkeypatch.setattr(evaluation, "_TRIAL_BLOCK", block)
+    est = estimate_epsilon_r(small_store, attack, 45000, seed=8, cfg=cfg)
+    assert (est.n_reliable, est.value) == (reliable, wrong / reliable)
 
 
 def test_epsilon_sweep_monotone(small_store):

@@ -483,24 +483,37 @@ def _spread_case():
     return store, queries / np.linalg.norm(queries, axis=1)[:, None], gt
 
 
+def _tile_budget(patch, d, rows, per_tile, queries=None, itemsize=4):
+    """Set the tile layout of :func:`drew.store._exact_top`: ``rows`` rows
+    per BLAS product and ``per_tile`` products per tile, for tiles of
+    ``queries`` queries (the default ``_TILE_QUERIES`` if None)."""
+    if queries is not None:
+        patch.setattr(store_mod, "_TILE_QUERIES", queries)
+    step = store_mod._TILE_QUERIES if queries is None else queries
+    patch.setattr(store_mod, "_BLAS_MADDS", step * d * rows)
+    patch.setattr(store_mod, "_TILE_BYTES", itemsize * step * rows * per_tile)
+
+
 def test_chunked_scans_equal_one_pass(monkeypatch):
-    """Query chunks, BLAS row blocks and rescore gathers split at any size
-    give the same answers as a single pass, for argmax and rank scans.
+    """Tiles, BLAS row blocks and rescore gathers split at any size give
+    the same answers as a single tile, for argmax and rank scans.
 
     On the near-tie store every row is in each shortlist.  On the spread
     store most ground-truth rows come first and some lie deep, so ranks
-    also come from the band pass.  Between them, the three block shapes
-    (128, 16 and 2 rows per BLAS product) list candidates and bands both
-    from a few hot columns and from a compare over the whole block."""
+    also count rows ahead outright.  Tiles of 5 queries split the 16
+    queries into blocks of 5, 5, 5 and 1; with 16 or 2 rows per BLAS
+    product, three products per tile and the store's last tile ending in a
+    shorter product, candidates and bands are listed both from a few hot
+    columns and from a compare over a whole tile."""
     for store, queries, gt in (_near_tie_case(), _spread_case()):
         one_ranked = scan_ranks(store.embeddings, store.ids, queries, gt)
         one_all = top_matches(store, FULL, queries[0], p=len(store))
         assert one_ranked[2].max() > 50
         for rows in (16, 2):
             with monkeypatch.context() as patch:
-                patch.setattr(store_mod, "_CHUNK_BYTES",
-                              store.embeddings.itemsize * len(store) * 3)
-                patch.setattr(store_mod, "_BLAS_MADDS", store.d * 3 * rows)
+                _tile_budget(patch, store.d, rows, 3, queries=5,
+                             itemsize=store.embeddings.itemsize)
+                patch.setattr(store_mod, "_CHUNK_BYTES", 3000 * store.d)  # rescore gathers
                 idx, sims = scan_top1(store.embeddings, store.ids, queries)
                 assert np.array_equal(idx, one_ranked[0])
                 assert np.array_equal(_bits(sims), _bits(one_ranked[1]))
@@ -510,6 +523,99 @@ def test_chunked_scans_equal_one_pass(monkeypatch):
                 assert np.array_equal(ranked[2], one_ranked[2])
                 assert top_matches(store, FULL, queries[0], p=len(store)) == one_all
         _assert_ranks_exact(store, queries, gt)
+
+
+def _tiled_cases(dtype):
+    """``(mat, ids, queries, gt)`` pairs whose top rows tie.  The first:
+    80 rows, 20 of them present three times with ids descending along the
+    copies, and 120 queries, exact copies of rows among them, so ties are
+    won by the least id, the last copy.  The second: the float32-ulp tie
+    store with 70 queries.  Neither batch is a multiple of 64."""
+    emb, ids, _, queries, _ = _tied_segments_case(dtype)
+    gt = substream(21, "tiled-ranks").integers(0, len(ids), 120)
+    yield emb, ids, np.concatenate([queries, queries[::-1]]), gt
+    store, pair = _ulp_tie_store(5, dtype)
+    rng = substream(5, "tiled-ulp")
+    gt = rng.integers(0, len(store), 70)
+    rows = store.embeddings[gt[:60]] + 1e-3 * rng.standard_normal((60, store.d))
+    queries = np.concatenate([pair, pair, rows, pair, pair, pair])
+    yield store.embeddings, store.ids, queries / np.linalg.norm(queries, axis=1)[:, None], gt
+
+
+def _oracle(mat, ids, queries, p, gt):
+    """Per query: the ids and einsum similarities of the top ``p`` rows by
+    a full einsum and lexsort of every row, and the rank of row ``gt``."""
+    out = []
+    for q, g in zip(queries, gt):
+        sims = _row_sims(mat, q)
+        order = np.lexsort((ids, -sims))
+        out.append((ids[order[:p]], _bits(sims[order[:p]]), np.flatnonzero(order == g)[0] + 1))
+    return out
+
+
+@DTYPES
+@pytest.mark.parametrize("layout", ["default", "16-row products", "3-row products",
+                                    "small batch"])
+def test_tiled_scan_equals_oracle(monkeypatch, dtype, layout):
+    """The tiled scan returns, bit for bit, what an einsum of every row and
+    a full sort return: at p = 1, 3 and N, with ranks, under exact ties won
+    by the least of descending ids and float32-ulp near-ties.  With the
+    default budget each store is one row tile; with 16 or 3 rows per
+    product and 3 or 4 products per tile, one scope spans many tiles and
+    the last tile of the store ends in a shorter product.  A small batch
+    (40 queries, fewer than ``_TILE_QUERIES``) sizes its tiles by
+    ``_CHUNK_BYTES``, here 3 rows per product and 4 products per tile.
+    The scans give the same bytes on 1, 2 and 3 threads."""
+    for mat, ids, queries, gt in _tiled_cases(dtype):
+        N = len(ids)
+        if layout == "small batch":
+            queries, gt = queries[:40], gt[:40]
+        want = {p: _oracle(mat, ids, queries, p, gt) for p in (1, 3, N)}
+        outputs = set()
+        for threads in (1, 2, 3):
+            spans, tiles = [], []
+            with monkeypatch.context() as patch:
+                if layout == "small batch":
+                    patch.setattr(store_mod, "_BLAS_MADDS", 40 * mat.shape[1] * 3)
+                    patch.setattr(store_mod, "_CHUNK_BYTES", mat.itemsize * 40 * 3 * 4)
+                elif layout != "default":
+                    rows, per_tile = (16, 3) if layout == "16-row products" else (3, 4)
+                    _tile_budget(patch, mat.shape[1], rows, per_tile, itemsize=mat.itemsize)
+                patch.setattr(store_mod, "_scan_threads", lambda: threads)
+                scan_rows, blas_sims = store_mod._scan_rows, store_mod._blas_sims
+
+                def logged_rows(mat_, first, *rest):
+                    spans.append((first, mat_.shape[0]))
+                    return scan_rows(mat_, first, *rest)
+
+                def logged_tile(mat_, Q):
+                    tiles.append(mat_.shape[0])
+                    return blas_sims(mat_, Q)
+
+                patch.setattr(store_mod, "_scan_rows", logged_rows)
+                patch.setattr(store_mod, "_blas_sims", logged_tile)
+                got = []
+                for p in (1, 3, N):
+                    spans.clear()
+                    rows_, sims, _ = store_mod._exact_top(mat, ids, queries, p)
+                    for j, (want_ids, want_bits, _) in enumerate(want[p]):
+                        assert np.array_equal(ids[rows_[j]], want_ids)
+                        assert np.array_equal(_bits(sims[j]), want_bits)
+                    got.append(rows_.tobytes() + _bits(sims).tobytes())
+                    # the ranges tile the rows; one range unless threads split them
+                    spans.sort()
+                    assert spans[0][0] == 0 and sum(n for _, n in spans) == N
+                    assert all(a + n == b for (a, n), (b, _) in zip(spans, spans[1:]))
+                    assert len(spans) == 1 or threads > 1
+                    assert (len(spans) > 1) == (threads > 1 and max(tiles) < N)
+                idx, sims, ranks = scan_ranks(mat, ids, queries, gt)
+                assert ranks.tolist() == [w[2] for w in want[1]]
+                assert np.array_equal(ids[idx], [w[0][0] for w in want[1]])
+                got.append(idx.tobytes() + _bits(sims).tobytes() + ranks.tobytes())
+            outputs.add(b"".join(got))
+            if layout != "default":
+                assert max(tiles) < N  # more than one row tile
+        assert len(outputs) == 1
 
 
 def _tied_segments_case(dtype):
@@ -637,14 +743,15 @@ def test_segmented_pass_rejects_an_empty_cluster():
 
 
 def _logged_runs(patch, log):
-    """Wrap ``_in_threads`` so that every run of BLAS products logs the
-    thread that computed it and then yields the CPU for a moment: the other
-    threads take runs too, and runs finish out of order."""
+    """Wrap ``_in_threads`` so that every range of rows logs the thread
+    that scanned it and its first row, and then yields the CPU for a
+    moment: the other threads take ranges too, and ranges finish out of
+    order."""
     in_threads = store_mod._in_threads
 
     def logged(work, items, threads):
         def run(x):
-            log.append(threading.get_ident())
+            log.append((threading.get_ident(), x))
             time.sleep(0.001)
             work(x)
 
@@ -655,9 +762,9 @@ def _logged_runs(patch, log):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_threaded_scans_equal_serial(monkeypatch, threads):
-    """Scans of many query chunks, with each chunk's BLAS products split
-    among 1, 2 or 3 threads, give the serial pass's answers bit for bit,
-    and the threads' block is the one a single thread computes."""
+    """Scans of many row tiles, with their rows split into ranges of whole
+    tiles among 1, 2 or 3 threads, give the serial pass's answers bit for
+    bit; the ranges start at tile boundaries and cover every row once."""
     for store, queries, gt in (_near_tie_case(), _spread_case()):
         mat, ids = store.embeddings, store.ids
         with monkeypatch.context() as patch:
@@ -666,18 +773,23 @@ def test_threaded_scans_equal_serial(monkeypatch, threads):
             one_ranked = scan_ranks(mat, ids, queries, gt)
             one_all = store_mod._exact_top(mat, ids, queries, len(store))
             one_top = top_matches(store, FULL, queries[0], p=len(store))
-        log = []
+        log, outs, idents = [], [], set()
         with monkeypatch.context() as patch:
             patch.setattr(store_mod, "_scan_threads", lambda: threads)
-            patch.setattr(store_mod, "_CHUNK_BYTES", mat.itemsize * len(store) * 3)
-            patch.setattr(store_mod, "_BLAS_MADDS", store.d * 3 * 16)  # 16 rows a product
+            _tile_budget(patch, store.d, 16, 3, queries=16,  # 16 rows a product, 48 a tile
+                         itemsize=mat.itemsize)
             _logged_runs(patch, log)
-            idx, sims = scan_top1(mat, ids, queries)
-            ranked = scan_ranks(mat, ids, queries, gt)
-            every = store_mod._exact_top(mat, ids, queries, len(store))
+            for scan, extra in ((scan_top1, ()), (scan_ranks, (gt,)),
+                                (store_mod._exact_top, (len(store),))):
+                log.clear()
+                outs.append(scan(mat, ids, queries, *extra))
+                # 63 tiles of 48 rows: one range, or 4 per thread of whole tiles
+                per = 48 * (63 if threads == 1 else -(-63 // (4 * threads)))
+                assert sorted(x for _, x in log) == list(range(0, len(store), per))
+                idents |= {ident for ident, _ in log}
             assert top_matches(store, FULL, queries[0], p=len(store)) == one_top
-            serial = store_mod._blas_sims(mat, queries[:3], 1, maxima=True)
-            split = store_mod._blas_sims(mat, queries[:3], threads, maxima=True)
+        idx, sims = outs[0]
+        ranked, every = outs[1], outs[2]
         assert np.array_equal(idx, one_idx)
         assert np.array_equal(_bits(sims), _bits(one_sims))
         assert np.array_equal(ranked[0], one_ranked[0])
@@ -685,18 +797,13 @@ def test_threaded_scans_equal_serial(monkeypatch, threads):
         assert np.array_equal(ranked[2], one_ranked[2])
         assert np.array_equal(every[0], one_all[0])
         assert np.array_equal(_bits(every[1]), _bits(one_all[1]))
-        assert split[1] == serial[1] == 16
-        assert np.array_equal(_bits(split[0]), _bits(serial[0]))
-        assert np.array_equal(_bits(split[2]), _bits(serial[2]))
-        assert np.array_equal(serial[2], serial[0].reshape(-1, 16 * 3).max(axis=0))
-        helpers = set(log) - {threading.get_ident()}
-        assert bool(helpers) == (threads > 1)
+        assert bool(idents - {threading.get_ident()}) == (threads > 1)
 
 
 def test_scan_thread_error_reaches_caller(monkeypatch):
-    """An exception raised in BLAS products run by a thread other than the
-    caller is raised to the caller, and every thread the scan started has
-    ended."""
+    """An exception raised in a range of rows scanned by a thread other
+    than the caller is raised to the caller, and every thread the scan
+    started has ended."""
     store, queries, gt = _spread_case()
     baseline = threading.active_count()
     caller = threading.get_ident()
@@ -709,20 +816,19 @@ def test_scan_thread_error_reaches_caller(monkeypatch):
             calls.append(threading.get_ident())
             if threading.get_ident() != caller:
                 raise boom
-            time.sleep(0.005)  # let the other thread take a run
+            time.sleep(0.005)  # let the other thread take a range
             work(x)
 
         in_threads(run, items, threads)
 
     monkeypatch.setattr(store_mod, "_scan_threads", lambda: 2)
-    monkeypatch.setattr(store_mod, "_CHUNK_BYTES", store.embeddings.itemsize * len(store) * 2)
-    monkeypatch.setattr(store_mod, "_BLAS_MADDS", store.d * 2 * 16)
+    _tile_budget(monkeypatch, store.d, 16, 2, queries=16, itemsize=store.embeddings.itemsize)
     monkeypatch.setattr(store_mod, "_in_threads", failing)
     with pytest.raises(RuntimeError) as raised:
         scan_ranks(store.embeddings, store.ids, queries, gt)
     assert raised.value is boom
     assert any(ident != caller for ident in calls)
-    assert len(calls) < 8  # the first chunk's 8 runs: none is taken after the error
+    assert len(calls) < 8  # the scan's 8 ranges: none is taken after the error
     assert threading.active_count() == baseline
 
 
@@ -749,9 +855,9 @@ def test_in_threads_takes_every_item_once():
 
 
 def test_scans_off_the_main_thread_run_alone(monkeypatch):
-    """A scan of several chunks made on a thread other than the main one,
-    as each attack of ``drew eval --workers`` is, starts no thread of its
-    own; the same scan on the main thread uses every CPU."""
+    """A scan of several row tiles made on a thread other than the main
+    one, as each attack of ``drew eval --workers`` is, starts no thread of
+    its own; the same scan on the main thread uses every CPU."""
     store, queries, _ = _spread_case()
     counts = []
     in_threads = store_mod._in_threads
@@ -760,12 +866,12 @@ def test_scans_off_the_main_thread_run_alone(monkeypatch):
         counts.append(threads)
         in_threads(work, items, threads)
 
-    monkeypatch.setattr(store_mod, "_CHUNK_BYTES", store.embeddings.itemsize * len(store) * 3)
-    monkeypatch.setattr(store_mod, "_BLAS_MADDS", store.d * 3 * 16)
+    _tile_budget(monkeypatch, store.d, 16, 3, queries=16, itemsize=store.embeddings.itemsize)
     monkeypatch.setattr(store_mod, "_in_threads", logged)
     worker = threading.Thread(target=scan_top1, args=(store.embeddings, store.ids, queries))
     worker.start()
-    worker.join()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
     assert counts and set(counts) == {1}
     counts.clear()
     scan_top1(store.embeddings, store.ids, queries)
@@ -796,11 +902,12 @@ class _MatmulLog:
         return np.matmul(a, b, **kwargs)
 
 
-@pytest.mark.parametrize("batch", [1, 16, 41])
+@pytest.mark.parametrize("batch", [1, 16, 41, 150])
 def test_blas_calls_stay_single_threaded_size(monkeypatch, batch):
     """Every BLAS product of a scan is at most ``_BLAS_MADDS`` multiply-adds
     (small enough to run on the calling thread), and together the products
-    cover each (query, row) pair once."""
+    cover each (query, row) pair once; 150 queries are three tiles of
+    queries on each of two row tiles, whose rows split among threads."""
     store = synthetic_store(5000, 64, seed=4)
     rng = substream(batch, "blas-blocks")
     queries = rng.standard_normal((batch, 64))
@@ -854,11 +961,13 @@ def _thread_ticks() -> dict[int, int]:
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to read per-thread CPU time")
 def test_blas_worker_threads_stay_idle(acceptance_store, monkeypatch):
-    """Full-store scans leave BLAS's worker threads idle: no thread but the
-    caller accrues CPU time, at any batch size that fits one query chunk.
-    A batch of several chunks splits each chunk's products among threads
-    the scan starts (one per CPU), and still no thread it did not start
-    accrues CPU time."""
+    """Scans leave BLAS's worker threads idle: no thread but the caller
+    accrues CPU time on a scan of one row tile, such as a query or a batch
+    of 4 or 41 over the whole 100k-row store (a batch of fewer than
+    ``_TILE_QUERIES`` reads each row once, and its tiles hold up to
+    ``_CHUNK_BYTES``).  A batch over several row tiles splits its rows
+    among threads the scan starts (one per CPU), and still no thread it
+    did not start accrues CPU time."""
     mat, ids = acceptance_store.embeddings, acceptance_store.ids
     rng = substream(5, "blas-threads")
     queries = rng.standard_normal((150, mat.shape[1]))
@@ -873,23 +982,51 @@ def test_blas_worker_threads_stay_idle(acceptance_store, monkeypatch):
     monkeypatch.setattr(threading.Thread, "run", logged_run)
     before = _thread_ticks()
     for batch in (1, 4, 41):
+        assert len(mat) * batch * mat.itemsize <= store_mod._CHUNK_BYTES
         for _ in range(3):
             scan_top1(mat, ids, queries[:batch])
     after = _thread_ticks()
     busy = {tid: n - before.get(tid, 0) for tid, n in after.items()
             if n != before.get(tid, 0)}
     assert busy == {}
-    assert started == []  # one chunk: the caller alone scans it
+    assert started == []  # one row tile: the caller alone scans it
 
     for _ in range(3):
         scan_top1(mat, ids, queries)
-    chunks = -(-150 // (store_mod._CHUNK_BYTES // (mat.itemsize * mat.shape[0])))
-    assert chunks > 1
-    assert len(started) == 3 * chunks * (store_mod._scan_threads() - 1)
+    assert store_mod._TILE_BYTES // (mat.itemsize * store_mod._TILE_QUERIES) < len(mat)
+    assert len(started) == 3 * (store_mod._scan_threads() - 1)
     later = _thread_ticks()
     busy = {tid: n - after.get(tid, 0) for tid, n in later.items()
             if n != after.get(tid, 0) and tid not in started}
     assert busy == {}
+
+
+def test_rank_scan_holds_tiles_not_blocks(monkeypatch):
+    """A rank scan of 2700 queries over a 100k x 16 store holds at most a
+    tile of similarities per thread plus its kept entries: its allocation
+    peak stays far below one block of all rows by one tile's 64 queries
+    (25.6 MB), let alone by all 2700 (1.08 GB), and below the 16 MB block
+    of the 41-query chunks the tiles replaced."""
+    import tracemalloc
+
+    store = synthetic_store(100_000, 16, seed=6)
+    rng = substream(6, "tile-memory")
+    gt = rng.integers(0, len(store), 2700)
+    queries = store.embeddings[gt] + 0.1 * rng.standard_normal((2700, 16))
+    queries /= np.linalg.norm(queries, axis=1)[:, None]
+    block = len(store) * store_mod._TILE_QUERIES * store.embeddings.itemsize
+    for threads in (1, 2):
+        monkeypatch.setattr(store_mod, "_scan_threads", lambda: threads)
+        tracemalloc.start()
+        try:
+            scan_ranks(store.embeddings, store.ids, queries, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the queries (two copies) and the answers come on top of the tiles
+        inputs = queries.nbytes * 2 + 2700 * 64
+        assert peak < threads * store_mod._TILE_BYTES + inputs + (1 << 20), peak
+        assert peak < block / 2
 
 
 @pytest.mark.parametrize("d", [8, 33, 64, 128])
