@@ -41,7 +41,41 @@ The check-node operation is the exact boxplus
     f(a, b) = (|a+b| - |a-b|) / 2 + log1p(exp(-|a+b|)) - log1p(exp(-|a-b|))
 
 which equals ``2*atanh(tanh(a/2)*tanh(b/2))`` but stays finite for the
-large known-bit LLRs injected at shortened positions.
+large known-bit LLRs injected at shortened positions.  A batch's ``f``
+step takes ``e_t = log1p(exp(-min(t, 700)))`` in place of
+``log1p(exp(-t))``: numpy's ``exp`` takes 5 to 160 times longer per element
+once its result leaves the normal range (``exp(-708)`` is 3.3e-308), and
+``|a+b|`` reaches 1e6 next to a known bit.  The output ``(0.5*(s-d) +
+e_s) - e_d`` keeps every bit.  Clamped or not, ``e_t <= exp(-700) ≈
+9.9e-305`` for ``t >= 700``.  If ``s == d``, both ways give ``e_s - e_s
+== +0.0``.  Otherwise, where ``s`` or ``d`` is at least 700, ``|s-d| >=
+2**-43`` (the spacing of floats at 700), and each term that the clamp can
+change meets a partial sum of magnitude at least ``2**-45``, half of whose
+ulp is far above ``exp(-700)``: clamped or not, the term is absorbed, and
+the other term is not changed.  Infinities and NaNs pass through alike.
+One frame's ``f`` has too few elements for the slow path to outweigh the
+clamp's extra numpy call, so it runs the plain formula.
+
+Keys.  A query's key is hard-decision input: each channel LLR of its frame
+is one of three values, ``c`` or ``-c`` for an observed 0 or 1 (``c =
+ln((1-p)/p)`` at the code's design flip rate) or the known-bit LLR past
+the key's ``n`` bits.  :func:`sc_decode_keys` decodes such frames without
+building them.  A depth-0 ``f`` or ``_G0`` step's output then takes at
+most 9 values, a ``g`` step's 18 (it also reads the left child's bit),
+and a depth-1 step on those outputs at most ``2 * 18 * 18``.  The kernel
+computes these values once per code into tables (:func:`_step_table`), by
+running its own calls on the table inputs, and a key tree's first two
+levels hold symbols, small integer indices into the tables: a step there
+is index arithmetic, plus one ``np.take`` where it writes LLRs.  Tables
+apply to whatever ``f`` / ``g`` / ``_G0`` steps sit at depths 0 and 1, for
+any frozen set: a depth-1 step reads only rows that a depth-0 step wrote.
+Every other step, and every step of an LLR frame, runs as above.  The
+looked-up values are bit for bit the computed ones: add, subtract,
+multiply, abs, negate and min are elementwise IEEE operations, and numpy's
+``exp`` and ``log1p`` give each element a result that depends neither on
+its position in a contiguous block nor on the block's length (the tests
+check every table entry inside wide batches, in every column, and the key
+path against the LLR path on 216k keys).
 """
 from __future__ import annotations
 
@@ -61,8 +95,9 @@ def _chunk_frames(m: int) -> int:
 
 
 def _boxplus_np(a, b):
-    """The check-node update f(a, b); :class:`_Tree` runs the same
-    operations in preallocated buffers."""
+    """The check-node update f(a, b), as written: the tests' reference.
+    :class:`_Tree` runs the same operations in preallocated buffers, with
+    ``exp``'s argument clamped at ``-_EXP_CLAMP`` (same bits)."""
     s = np.abs(a + b)
     d = np.abs(a - b)
     # exp underflows to 0.0 for the huge known-bit LLRs; log1p(0) == 0.
@@ -150,6 +185,57 @@ def _schedule(frozen_bytes: bytes, m: int) -> tuple:
 # 0-d operands: numpy converts a Python float on every call
 _HALF, _ZERO = np.array(0.5), np.array(0.0)
 _SIGNS = np.array([1.0, -1.0])  # 1 - 2*bit, indexed by the bit
+#: A batch's ``f`` takes ``exp(-min(t, 700))`` where the formula has
+#: ``exp(-t)``: the same output bits (module docstring), while numpy's
+#: ``exp`` takes 5 to 160 times longer per element once its result leaves the
+#: normal range (t > 708).
+_EXP_CLAMP = np.array(700.0)
+
+
+def _f_calls(a, b, out, t, e, clamp: bool = True):
+    """The numpy calls of one ``f`` step, ``out = f(a, b)``, with ``t`` and
+    ``e`` contiguous ``(2,) + a.shape`` scratch: the operations of
+    :func:`_boxplus_np`, in its order, on ``s`` and ``d`` stacked, with
+    ``t`` clamped at ``_EXP_CLAMP`` before ``exp`` if ``clamp``."""
+    if clamp:
+        head = [(functools.partial(np.minimum, out=e), (t, _EXP_CLAMP)), (np.negative, (e, e))]
+    else:
+        head = [(np.negative, (t, e))]
+    return [(np.add, (a, b, t[0])), (np.subtract, (a, b, t[1])), (np.absolute, (t, t)),
+            *head, (np.exp, (e, e)), (np.log1p, (e, e)),
+            (np.subtract, (t[0], t[1], out)), (np.multiply, (_HALF, out, out)),
+            (np.add, (out, e[0], out)), (np.subtract, (out, e[1], out))]
+
+
+def _g_calls(op, sign, lo, hi, out):
+    """The numpy calls of a ``g`` step, ``out = hi + sign*lo``, or of a
+    ``_G0`` step, ``out = hi + lo``."""
+    if op == _G0:
+        return [(np.add, (hi, lo, out))]
+    return [(np.multiply, (sign, lo, out)), (np.add, (hi, out, out))]
+
+
+@functools.lru_cache(maxsize=256)
+def _step_table(op: int, values: bytes) -> np.ndarray:
+    """Every output of an ``f``, ``g`` or ``_G0`` step whose inputs take the
+    ``na`` float64 values ``values``: entry ``(s*na + i)*na + j`` is the
+    step on ``lo = values[i]`` and ``hi = values[j]``, with the left
+    child's bit ``s`` (0 unless ``op`` is ``_G``).  The entries are
+    computed by the tree's own calls, on contiguous arrays like its blocks."""
+    vals = np.frombuffer(values)
+    na = vals.size
+    lo, hi = np.repeat(vals, na), np.tile(vals, na)
+    if op == _G:
+        lo, hi = np.tile(lo, 2), np.tile(hi, 2)
+    out = np.empty(lo.size)
+    if op == _F:
+        calls = _f_calls(lo, hi, out, np.empty((2, lo.size)), np.empty((2, lo.size)))
+    else:
+        calls = _g_calls(op, np.repeat(_SIGNS, na * na), lo, hi, out)
+    for fn, args in calls:
+        fn(*args)
+    out.flags.writeable = False
+    return out
 
 
 class _Tree:
@@ -166,17 +252,28 @@ class _Tree:
     step uses is cut once, here, so running the schedule is one numpy call
     per operation, all with preallocated outputs:
 
-    * ``f``: ``t = [a + b, a - b]``, ``t = |t|``, ``e = log1p(exp(-t))``,
-      then ``(0.5 * (t[0] - t[1]) + e[0]) - e[1]``: the operations of
-      :func:`_boxplus_np`, in its order, on ``s`` and ``d`` stacked;
+    * ``f``: ``t = [a + b, a - b]``, ``t = |t|``, ``e = log1p(exp(-min(t,
+      700)))``, then ``(0.5 * (t[0] - t[1]) + e[0]) - e[1]``
+      (:func:`_f_calls`);
     * ``g``: ``sign * lo`` then ``hi + that``, which is ``hi + (1 - 2b) *
       lo`` to the bit; ``_G0`` is ``hi + lo``;
     * a combine multiplies the children's signs and copies the right one;
       a ``_COPY`` chain is one broadcast copy of its source;
     * a leaf looks its sign up as ``_SIGNS[L < 0.0]``.
+
+    A key tree (``keys = (values bytes, n)``) decodes n-bit keys instead
+    of LLR frames: the frame's LLR is ``values[b]`` where the key holds bit
+    ``b`` and ``values[2]`` past its ``n`` bits.  Its first ``min(m, 2)``
+    levels hold symbols, uint8 indices into the values their rows can take
+    (just level 0 at ``m == 0``, whose one leaf's LLR is looked up): level
+    0 the key bits and 2, level 1 a depth-0 step's table index ``(s*na +
+    i)*na + j`` (:func:`_step_table`).  A step that reads symbols computes
+    that index from its inputs' symbols ``i``, ``j`` and the left child's
+    bit ``s``, and either keeps it as the next level's symbols or looks its
+    output LLRs up in the table.
     """
 
-    def __init__(self, steps, m: int, width: int):
+    def __init__(self, steps, m: int, width: int, keys=None):
         N = 1 << m
         tail = (width,) if width > 1 else ()
         size = (m + 1) * N * width
@@ -195,23 +292,64 @@ class _Tree:
         below = np.empty((1,) + tail, dtype=bool)
         llr = self.llr
         calls = []
+        self.head, levels = llr, 0  # frames are written to head[:n]
+        if keys is not None:
+            values, n = np.frombuffer(keys[0]), keys[1]
+            levels = min(m, 2)
+            sym = self.head = np.zeros((max(levels, 1) * N,) + tail, dtype=np.uint8)
+            sym[n:N] = 2
+            if not levels:  # m == 0: the one leaf reads its LLR off level 0
+                calls.append((values.take, (sym, None, llr[:N], "clip")))
+            alphabet = {0: values}  # first row of a symbol range -> the values it indexes
+            half = N * width // 2  # a step's output has at most this many elements
+            # a step's scratch: the left child's bit s, then s*na*na as a
+            # symbol or as an index, and the index
+            bit, offset8 = np.empty(half, dtype=bool), np.empty(half, dtype=np.uint8)
+            offset, index = np.empty(half, dtype=np.intp), np.empty(half, dtype=np.intp)
+
+        def symbol_step(op, lo, hi, c_lo, c_hi):
+            """Calls of a step that reads symbols: its table index, kept as
+            the next level's symbols or looked up into its output LLRs."""
+            h = lo.stop - lo.start
+
+            def cut(buf):  # the step's (h,) + tail view of a scratch buffer
+                return buf[: h * width].reshape((h,) + tail)
+
+            out = c_lo if op == _F else c_hi
+            na = alphabet[lo.start].size
+            table = _step_table(op, alphabet[lo.start].tobytes())
+            keep = out.start < levels * N  # the index is the next level's symbols
+            if keep:
+                target, s_off = sym[out], cut(offset8)
+                alphabet[out.start] = table
+            else:
+                target, s_off = cut(index), cut(offset)
+            step = []
+            if op == _G:
+                s_bit = cut(bit)
+                step += [(np.less, (sign[c_lo], _ZERO, s_bit)),
+                         (np.multiply, (s_bit.view(np.uint8), np.array(na * na, target.dtype),
+                                        s_off))]
+            step += [(np.multiply, (sym[lo], np.array(na, target.dtype), target)),
+                     (np.add, (target, sym[hi], target))]
+            if op == _G:
+                step.append((np.add, (target, s_off, target)))
+            if not keep:
+                step.append((table.take, (target, None, llr[out], "clip")))
+            return step
+
         for op, lo, hi, c_lo, c_hi in steps:
-            if op == _F:
-                a, b, out = llr[lo], llr[hi], llr[c_lo]
+            if op in (_F, _G, _G0) and lo.start < levels * N:
+                calls += symbol_step(op, lo, hi, c_lo, c_hi)
+            elif op == _F:
                 h = lo.stop - lo.start
+                # one frame's f has a few elements: a clamp call costs more
+                # than exp's slow path on them
                 tt = t[: 2 * h * width].reshape((2, h) + tail)
                 ee = e[: 2 * h * width].reshape((2, h) + tail)
-                calls += [(np.add, (a, b, tt[0])), (np.subtract, (a, b, tt[1])),
-                          (np.absolute, (tt, tt)), (np.negative, (tt, ee)),
-                          (np.exp, (ee, ee)), (np.log1p, (ee, ee)),
-                          (np.subtract, (tt[0], tt[1], out)), (np.multiply, (_HALF, out, out)),
-                          (np.add, (out, ee[0], out)), (np.subtract, (out, ee[1], out))]
-            elif op == _G0:
-                calls.append((np.add, (llr[hi], llr[lo], llr[c_hi])))
-            elif op == _G:
-                out = llr[c_hi]
-                calls += [(np.multiply, (sign[c_lo], llr[lo], out)),
-                          (np.add, (llr[hi], out, out))]
+                calls += _f_calls(llr[lo], llr[hi], llr[c_lo], tt, ee, clamp=width > 1)
+            elif op in (_G, _G0):
+                calls += _g_calls(op, sign[c_lo], llr[lo], llr[hi], llr[c_hi])
             elif op == _COMBINE:
                 calls += [(np.multiply, (sign[c_lo], sign[c_hi], sign[lo])),
                           (sign[hi].__setitem__, (..., sign[c_hi]))]
@@ -226,18 +364,20 @@ class _Tree:
                           (_SIGNS.take, (below, None, sign[lo], "clip"))]
         self.calls = calls
 
-    def decode(self, chan: np.ndarray, u: np.ndarray, dec: np.ndarray) -> None:
-        """Decode the frames ``chan`` (at most ``width`` rows) into ``u`` and
-        ``dec``; columns past ``chan``'s rows compute unread values."""
-        B, N = chan.shape
-        if self.llr.ndim == 1:
-            self.llr[:N] = chan[0]
+    def decode(self, frames: np.ndarray, u: np.ndarray, dec: np.ndarray, rows=slice(None)) -> None:
+        """Decode ``frames`` (at most ``width`` rows of LLR frames, or of keys
+        for a key tree) into ``u`` and ``dec``, the decisions and decision
+        LLRs of the leaves ``rows``; columns past ``frames``' rows compute
+        unread values."""
+        B, n = frames.shape
+        if self.head.ndim == 1:
+            self.head[:n] = frames[0]
         else:
-            self.llr[:N, :B] = chan.T
+            self.head[:n, :B] = frames.T
         for fn, args in self.calls:
             fn(*args)
-        leaves = self.leaves if self.llr.ndim == 1 else self.leaves[:, :B].T
-        np.copyto(dec, leaves)
+        leaves = self.leaves[rows]
+        np.copyto(dec, leaves if leaves.ndim == 1 else leaves[:, :B].T)
         # a leaf decides L < 0.0; frozen positions keep dec == 0, hence u == 0
         np.less(dec, _ZERO, out=u)
 
@@ -248,14 +388,35 @@ class _Tree:
 _local = threading.local()
 
 
-def _one_frame_tree(frozen_bytes: bytes, m: int) -> _Tree:
+def _one_frame_tree(frozen_bytes: bytes, m: int, keys) -> _Tree:
     trees = _local.__dict__
-    tree = trees.get((frozen_bytes, m))
+    tree = trees.get((frozen_bytes, m, keys))
     if tree is None:
         if len(trees) >= 64:
             trees.clear()
-        tree = trees[frozen_bytes, m] = _Tree(_schedule(frozen_bytes, m), m, 1)
+        tree = trees[frozen_bytes, m, keys] = _Tree(_schedule(frozen_bytes, m), m, 1, keys)
     return tree
+
+
+def _run(frames, frozen: np.ndarray, m: int, u, dec, keys=None, rows=slice(None)) -> None:
+    """Decode ``frames`` into ``u`` and ``dec``: a single frame on the
+    thread's bound tree, a batch in equal chunks of at most
+    :func:`_chunk_frames` frames on one tree."""
+    B = frames.shape[0]
+    if B == 1:
+        _one_frame_tree(frozen.tobytes(), m, keys).decode(frames, u, dec, rows)
+    elif B:
+        width = -(-B // -(-B // _chunk_frames(m)))
+        tree = _Tree(_schedule(frozen.tobytes(), m), m, width, keys)
+        for lo in range(0, B, width):
+            tree.decode(frames[lo : lo + width], u[lo : lo + width], dec[lo : lo + width], rows)
+
+
+def _frozen_mask(frozen_mask, N: int) -> np.ndarray:
+    frozen = np.ascontiguousarray(frozen_mask, dtype=np.uint8)
+    if frozen.shape != (N,):
+        raise ValueError("frozen_mask length must equal the block length")
+    return frozen
 
 
 def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
@@ -290,17 +451,52 @@ def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
     B, N = chan.shape
     if N != 1 << m:
         raise ValueError(f"frame length {N} does not match block length {1 << m}")
-    frozen = np.ascontiguousarray(frozen_mask, dtype=np.uint8)
-    if frozen.shape != (N,):
-        raise ValueError("frozen_mask length must equal the block length")
+    frozen = _frozen_mask(frozen_mask, N)
     u = np.empty((B, N), dtype=np.uint8)
     dec = np.empty((B, N))
-    if B == 1:
-        _one_frame_tree(frozen.tobytes(), m).decode(chan, u, dec)
-    elif B:
-        # equal chunks of at most _chunk_frames(m) frames; one tree serves all
-        width = -(-B // -(-B // _chunk_frames(m)))
-        tree = _Tree(_schedule(frozen.tobytes(), m), m, width)
-        for lo in range(0, B, width):
-            tree.decode(chan[lo : lo + width], u[lo : lo + width], dec[lo : lo + width])
+    _run(chan, frozen, m, u, dec)
+    return u, dec
+
+
+def sc_decode_keys(keys: np.ndarray, key_llrs, frozen_mask: np.ndarray, m: int):
+    """Successive-cancellation decode of a batch of hard-decision keys.
+
+    Decodes, bit for bit as :func:`sc_decode_batch` would, the LLR frames
+    that hold ``key_llrs[b]`` where a key holds bit ``b`` and
+    ``key_llrs[2]`` past its ``n`` bits, without building them: the steps
+    that read the first two tree levels look their outputs up in tables
+    (:class:`_Tree`).
+
+    Parameters
+    ----------
+    keys : (B, n) uint8
+        0/1 key bits, one key per row, n <= N == 1 << m; not checked.
+    key_llrs : (3,) float64
+        The LLRs of an observed 0, an observed 1 and a position past the
+        key.
+    frozen_mask, m
+        As for :func:`sc_decode_batch`.
+
+    Returns
+    -------
+    u : (B, k) uint8
+        Hard decisions at the k information positions, in order.
+    dec_llrs : (B, k) float64
+        Their decision LLRs.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint8)
+    if keys.ndim != 2:
+        raise ValueError("keys must be 2-D (batch, n)")
+    B, n = keys.shape
+    N = 1 << m
+    if n > N:
+        raise ValueError(f"key length {n} exceeds block length {N}")
+    frozen = _frozen_mask(frozen_mask, N)
+    values = np.ascontiguousarray(key_llrs, dtype=np.float64)
+    if values.shape != (3,):
+        raise ValueError("key_llrs must hold 3 values")
+    info = np.flatnonzero(frozen == 0)
+    u = np.empty((B, info.size), dtype=np.uint8)
+    dec = np.empty((B, info.size))
+    _run(keys, frozen, m, u, dec, (values.tobytes(), n), info)
     return u, dec

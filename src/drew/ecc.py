@@ -237,19 +237,30 @@ def llr_from_keys(spec: PolarCodeSpec, keys: np.ndarray, channel_p: float) -> np
     """
     if not 0.0 < channel_p < 0.5:
         raise ValueError(f"channel_p must lie in (0, 0.5), got {channel_p}")
-    bits = _check_bits(keys, spec.n, "key")
-    if bits.ndim != 2:
-        raise ValueError("keys must be a (B, n) bit matrix")
+    bits = _key_bits(spec, keys)
     llrs = np.full((bits.shape[0], spec.block_len), KNOWN_BIT_LLR)
     llrs[:, : spec.n] = _bit_llrs(channel_p)[bits]
     return llrs
 
 
+def _key_bits(spec: PolarCodeSpec, keys: np.ndarray) -> np.ndarray:
+    bits = _check_bits(keys, spec.n, "key")
+    if bits.ndim != 2:
+        raise ValueError("keys must be a (B, n) bit matrix")
+    return bits
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in RELIABILITY_MODES:
+        raise ValueError(f"mode must be one of {RELIABILITY_MODES}, got {mode!r}")
+
+
 @lru_cache(maxsize=16)
 def _bit_llrs(channel_p: float) -> np.ndarray:
-    """LLRs of an observed 0 and 1, ``(c, -c)`` with ``c = ln((1-p)/p)``."""
+    """LLRs of an observed 0, an observed 1 and a shortened position:
+    ``(c, -c, KNOWN_BIT_LLR)`` with ``c = ln((1-p)/p)``."""
     c = math.log((1.0 - channel_p) / channel_p)
-    table = np.array([c, -c])
+    table = np.array([c, -c, KNOWN_BIT_LLR])
     table.flags.writeable = False
     return table
 
@@ -265,8 +276,7 @@ def decode_batch(
     Returns ``(codes, scores, reliable, last_mags, min_mags)`` where codes
     is (B, k) uint8 and the rest are length-B vectors.
     """
-    if mode not in RELIABILITY_MODES:
-        raise ValueError(f"mode must be one of {RELIABILITY_MODES}, got {mode!r}")
+    _check_mode(mode)
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.ndim < 2:
         arr = arr.reshape(1, -1)
@@ -310,13 +320,19 @@ def decode(
 def decode_keys(spec: PolarCodeSpec, keys: np.ndarray, threshold: float, mode: str):
     """Decode a (B, n) batch of observed keys to cluster indices.
 
-    The keys' LLRs at the code's design flip rate go through one
-    :func:`decode_batch`; returns ``(clusters, reliable)``, the decoded
-    cluster index and the reliability flag of every key.
+    The keys are decoded as their LLRs at the code's design flip rate
+    (:func:`llr_from_keys`) would be by :func:`decode_batch`, to the same
+    bits, but through :func:`drew.backends.sc_decode_keys`, which never
+    builds those (B, block_len) float64 frames.  Returns ``(clusters,
+    reliable)``, the decoded cluster index and the reliability flag of
+    every key.
     """
-    llrs = llr_from_keys(spec, keys, spec.design_p)
-    codes, _, reliable, _, _ = decode_batch(spec, llrs, threshold, mode)
-    return codes_to_ints(codes), reliable
+    _check_mode(mode)
+    codes, dec = backends.sc_decode_keys(_key_bits(spec, keys), _bit_llrs(spec.design_p),
+                                         spec.frozen_mask, spec.m)
+    mags = np.abs(dec, out=dec)
+    scores = mags[:, -1] if mode == "last-bit" else mags.min(axis=1)
+    return codes_to_ints(codes), scores >= threshold
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,14 @@ REDUNDANCY_CAP = 1.0e6
 #: near one attack's memory, while 150 per attack is one batch.
 _BATCH_QUERIES = 4096
 
-#: Trials of :func:`estimate_epsilon_r` whose keys are flipped, decoded and
-#: counted at a time: about 1 MB of temporaries, which glibc keeps serving
-#: from its heap once any larger block has been freed.  Whole 20000-trial
-#: draws (16 MB of flip draws) took fresh pages from the kernel unless an
-#: earlier stage had happened to free a block as large: after the rank
-#: scan's 1 MiB tiles, the perfbench-shape epsilon stage took 13-15k minor
-#: page faults that way, against 0.9-1.0k in blocks (2-vCPU VM).
+#: Trials of :func:`estimate_epsilon_r` and frames of :func:`fer_sweep`
+#: whose keys are flipped, decoded and counted at a time: about 1 MB of
+#: temporaries, which glibc keeps serving from its heap once any larger
+#: block has been freed.  Whole 20000-trial draws (16 MB of flip draws)
+#: took fresh pages from the kernel unless an earlier stage had happened to
+#: free a block as large: after the rank scan's 1 MiB tiles, the
+#: perfbench-shape epsilon stage took 13-15k minor page faults that way,
+#: against 0.9-1.0k in blocks (2-vCPU VM).
 _TRIAL_BLOCK = 1024
 
 
@@ -665,7 +666,12 @@ def fer_sweep(
     cfg: QueryConfig = QueryConfig(),
 ) -> list[dict]:
     """Frame error rate of the code alone across flip rates, with the
-    reliable share under ``cfg``'s gate."""
+    reliable share under ``cfg``'s gate.
+
+    Each flip rate draws its messages whole, then flips, decodes and
+    counts its frames ``_TRIAL_BLOCK`` at a time, as
+    :func:`estimate_epsilon_r` does; the flip draws run in order, so
+    blocks of any size see the values of one whole draw."""
     if frames < 1:
         raise ValueError("frames must be positive")
     rows = []
@@ -676,12 +682,16 @@ def fer_sweep(
             raise ValueError("flip rates must lie in [0, 0.5]")
         rng = substream(seed, f"fer/p={p!r}")
         msgs = rng.integers(0, 1 << spec.k, size=frames)
-        keys = table[msgs]
-        if p > 0.0:
-            keys = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
-        dec, rel = ecc.decode_keys(spec, keys, cfg.reliability_threshold,
-                                   cfg.reliability_mode)
-        errors = int((dec != msgs).sum())
+        errors = n_rel = 0
+        for start in range(0, frames, _TRIAL_BLOCK):
+            sent = msgs[start : start + _TRIAL_BLOCK]
+            keys = table[sent]
+            if p > 0.0:
+                keys ^= rng.random(keys.shape) < p
+            dec, rel = ecc.decode_keys(spec, keys, cfg.reliability_threshold,
+                                       cfg.reliability_mode)
+            errors += int((dec != sent).sum())
+            n_rel += int(rel.sum())
         fer = errors / frames
         rows.append(
             {
@@ -690,7 +700,7 @@ def fer_sweep(
                 "errors": errors,
                 "fer": fer,
                 "stderr": math.sqrt(max(fer * (1.0 - fer), 1.0 / frames) / frames),
-                "p_reliable": float(rel.mean()),
+                "p_reliable": n_rel / frames,
             }
         )
     return rows

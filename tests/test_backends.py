@@ -293,3 +293,146 @@ def test_sc_decode_batch_validation(default_spec):
         sc_decode_batch(np.zeros((1, 5)), frozen, 2)
     with pytest.raises(ValueError, match="frozen_mask"):
         sc_decode_batch(np.zeros((1, 4)), np.zeros(3, dtype=np.uint8), 2)
+
+
+# codes for the key path: the default code (a depth-1 _G0 step on the left
+# half, a depth-1 f on the right), no f at depth 0 (3, 8), a depth-1 g
+# (4, 7), the two levels of a 64-block (5, 33), and one- and two-level
+# trees (1, 1) and (2, 2)
+KEY_SHAPES = ((10, 100), (3, 8), (4, 7), (5, 33), (2, 2), (1, 1))
+
+
+def _symbol_steps(spec):
+    """The (op, depth, lo, hi, c_lo, c_hi) of the steps a key tree runs on
+    symbols: the f, g and _G0 steps of the first two levels."""
+    N = spec.block_len
+    for op, lo, hi, c_lo, c_hi in backends._schedule(spec.frozen_mask.tobytes(), spec.m):
+        if op in (backends._F, backends._G, backends._G0) and lo.start < 2 * N:
+            yield op, lo.start // N, lo, hi, c_lo, c_hi
+
+
+def test_key_shapes_cover_every_symbol_step():
+    seen = set()
+    for k, n in KEY_SHAPES:
+        spec = ecc.construct_code(k, n, 0.1)
+        seen |= {(op, depth, lo.start == spec.block_len)
+                 for op, depth, lo, *_ in _symbol_steps(spec)}
+    F, G, G0 = backends._F, backends._G, backends._G0
+    assert {(op, depth) for op, depth, _ in seen} == {(op, d) for op in (F, G, G0) for d in (0, 1)}
+    assert {(1, True), (1, False)} <= {(depth, left) for _, depth, left in seen}
+    no_f = ecc.construct_code(3, 8, 0.1)
+    assert (F, 0) not in {(op, depth) for op, depth, *_ in _symbol_steps(no_f)}
+
+
+@pytest.mark.parametrize("k,n", KEY_SHAPES)
+def test_key_path_equals_llr_path(k, n):
+    """Keys decode to the bits of their LLR frames, decisions and the
+    information positions' decision LLRs, at p from 0 to 0.5, in single
+    frames and batches of 7, 256 and 1000 (several chunks at the default
+    code): 36000 keys per code, 216000 in all."""
+    spec = ecc.construct_code(k, n, 0.1)
+    key_llrs = ecc._bit_llrs(spec.design_p)
+    info = spec.info_positions
+    widths = (1, 1, 1, 7, 7, 256, 1000)
+    for p in (0.0, 0.05, 0.1, 0.2, 0.3, 0.5):
+        rng = substream(k * 1000 + n, f"key-path/p={p!r}")
+        msgs = rng.integers(0, 1 << spec.k, size=6000)
+        keys = ecc.encode_all(spec)[msgs]
+        keys ^= rng.random(keys.shape) < p
+        want_u, want_dec = sc_decode_batch(ecc.llr_from_keys(spec, keys, spec.design_p),
+                                           spec.frozen_mask, spec.m)
+        want_u, want_dec = want_u[:, info], want_dec[:, info]
+        bounds = np.cumsum((0,) + widths + (6000 - sum(widths),))
+        for lo, hi in zip(bounds, bounds[1:]):
+            u, dec = backends.sc_decode_keys(keys[lo:hi], key_llrs, spec.frozen_mask, spec.m)
+            assert np.array_equal(u, want_u[lo:hi]), (p, lo)
+            assert np.array_equal(dec.view(np.uint64), want_dec[lo:hi].view(np.uint64)), (p, lo)
+
+
+@pytest.mark.parametrize("k,n", KEY_SHAPES[:-1])  # (1, 1) has no step
+def test_step_tables_equal_the_steps_in_wide_batches(k, n):
+    """Each table entry is what the same step computes on its inputs inside
+    a wide batch, in every column: numpy's exp and log1p give an element the
+    same result wherever it sits in a contiguous block."""
+    spec = ecc.construct_code(k, n, 0.1)
+    values = {0: ecc._bit_llrs(spec.design_p)}  # first row of a symbol range -> its values
+    checked = 0
+    for op, _, lo, _, c_lo, c_hi in _symbol_steps(spec):
+        vals = values[lo.start]
+        table = backends._step_table(op, vals.tobytes())
+        values[(c_lo if op == backends._F else c_hi).start] = table
+        na = vals.size
+        size = table.size
+        for width in (1, 7, 37, 256):
+            a = np.repeat(np.tile(np.repeat(vals, na), size // na ** 2)[:, None], width, axis=1)
+            b = np.repeat(np.tile(vals, size // na)[:, None], width, axis=1)
+            sign = np.repeat(np.repeat(backends._SIGNS, na * na)[: size, None], width, axis=1)
+            out = np.empty((size, width))
+            if op == backends._F:
+                calls = backends._f_calls(a, b, out, np.empty((2, size, width)),
+                                          np.empty((2, size, width)))
+            else:
+                calls = backends._g_calls(op, sign, a, b, out)
+            for fn, args in calls:
+                fn(*args)
+            assert np.array_equal(out.view(np.uint64),
+                                  np.broadcast_to(table[:, None], out.shape).view(np.uint64))
+        checked += 1
+    assert checked
+
+
+def test_exp_clamp_changes_no_f_output():
+    """f with exp's argument clamped at -700 gives the unclamped formula's
+    bits where |a + b| or |a - b| is 699.99, 700, 745, 746 or 1e6, where
+    the two are equal and where they are not, and on non-finite input."""
+    edges = np.array([699.99, np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 1e9),
+                      745.0, 746.0, 1e6])
+    small = np.array([0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 5.0, 36.0, 349.995, 350.0, 699.0])
+    base = np.concatenate([edges, edges / 2.0, small, edges - 0.5, edges + 1e-3])
+    base = np.concatenate([base, -base])
+    a, b = (g.ravel() for g in np.meshgrid(base, base))
+    s, d = np.abs(a + b), np.abs(a - b)
+    for edge in (699.99, 700.0, 745.0, 746.0, 1e6):
+        assert (s == edge).any() and (d == edge).any(), edge
+    assert ((s == d) & (s >= 700.0)).any() and ((s != d) & (s >= 700.0) & (d >= 700.0)).any()
+    # infinities, NaN and sums that overflow pass through alike
+    extremes = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
+    a = np.concatenate([a, np.repeat(extremes, base.size), np.tile(base, extremes.size)])
+    b = np.concatenate([b, np.tile(base, extremes.size), np.repeat(extremes, base.size)])
+    out = np.empty(a.size)
+    scratch = np.empty((2, a.size)), np.empty((2, a.size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fn, args in backends._f_calls(a, b, out, *scratch):
+            fn(*args)
+        want = _boxplus_np(a, b)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def test_decode_keys_builds_no_llr_frames(default_spec):
+    """decode_keys on 100k keys holds the decisions and decision LLRs of the
+    information positions, not (B, N) float64 frames (102 MB here)."""
+    rng = substream(61, "key-memory")
+    keys = ecc.encode_all(default_spec)[rng.integers(0, 1 << default_spec.k, size=100_000)]
+    keys ^= rng.random(keys.shape) < 0.1
+    ecc.decode_keys(default_spec, keys[:300], 0.5, "last-bit")  # compile the schedule
+    tracemalloc.start()
+    try:
+        ecc.decode_keys(default_spec, keys, 0.5, "last-bit")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 << 20, peak
+
+
+def test_sc_decode_keys_validation(default_spec):
+    frozen, key_llrs = np.zeros(4, dtype=np.uint8), ecc._bit_llrs(0.1)
+    with pytest.raises(ValueError, match="2-D"):
+        backends.sc_decode_keys(np.zeros(4, dtype=np.uint8), key_llrs, frozen, 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        backends.sc_decode_keys(np.zeros((1, 5), dtype=np.uint8), key_llrs, frozen, 2)
+    with pytest.raises(ValueError, match="frozen_mask"):
+        backends.sc_decode_keys(np.zeros((1, 4), dtype=np.uint8), key_llrs, frozen[:3], 2)
+    with pytest.raises(ValueError, match="3 values"):
+        backends.sc_decode_keys(np.zeros((1, 4), dtype=np.uint8), key_llrs[:2], frozen, 2)
+    with pytest.raises(ValueError, match="mode"):
+        ecc.decode_keys(default_spec, np.zeros((1, 100), dtype=np.uint8), 0.5, "ml")

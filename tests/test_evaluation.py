@@ -251,6 +251,31 @@ def test_epsilon_blocks_give_the_whole_draws_estimate(small_store, monkeypatch, 
     assert (est.n_reliable, est.value) == (reliable, wrong / reliable)
 
 
+@pytest.mark.parametrize("block", [7, 1024])
+def test_fer_sweep_blocks_give_the_whole_draw_rows(monkeypatch, block):
+    """Flipping, decoding and counting in blocks of 7 or 1024 frames gives
+    the rows of one whole draw per flip rate, decoded as LLR frames in one
+    batch; 2500 frames end in a partial block."""
+    spec = ecc.construct_code(10, 100, 0.1)
+    cfg = QueryConfig(reliability_threshold=5.0, reliability_mode="min-bit")
+    grid, frames = (0.0, 0.15, 0.3), 2500
+    table = ecc.encode_all(spec)
+    want = []
+    for p in grid:
+        rng = substream(31, f"fer/p={p!r}")
+        msgs = rng.integers(0, 1 << spec.k, size=frames)
+        keys = table[msgs]
+        if p > 0.0:
+            keys = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
+        codes, _, rel, _, _ = ecc.decode_batch(spec, ecc.llr_from_keys(spec, keys, 0.1),
+                                               cfg.reliability_threshold, cfg.reliability_mode)
+        want.append((int((ecc.codes_to_ints(codes) != msgs).sum()), float(rel.mean())))
+    assert 0 < want[1][0] and want[1][1] < 1.0  # the decoder and the gate both matter
+    monkeypatch.setattr(evaluation, "_TRIAL_BLOCK", block)
+    rows = fer_sweep(spec, grid, frames, seed=31, cfg=cfg)
+    assert [(r["errors"], r["p_reliable"]) for r in rows] == want
+
+
 def test_epsilon_sweep_monotone(small_store):
     ests = epsilon_sweep(small_store, (0.0, 0.1, 0.2, 0.3), 3000, seed=12)
     vals = [e.value for e in ests]
