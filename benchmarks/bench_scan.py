@@ -14,8 +14,11 @@ deep, so most tiles list a wide band) and at σ = 0.1 (most ground truths
 rank first, as for eval's attacked queries, so only the hot columns are
 listed), and one ``drew_query`` call at a time (gate ``min-bit`` 5, as
 perfbench's ``lookup``) on 50 routed queries (clean keys) and on 20 that
-fall back to the full store (random keys the gate rejects).  Then the
-segmented pass: ``route_and_scan`` of 10000 queries, each routed to its
+fall back to the full store (random keys the gate rejects).  Then
+``route_and_scan`` one query at a time, on that ~99-row cluster and on
+the whole store (each batch of one scope), and of 400 queries routed to
+their rows' own clusters (a sparse batch of several hundred scopes).  Then
+the segmented pass: ``route_and_scan`` of 10000 queries, each routed to its
 row's own cluster, and of the default suite's 18 in-dataset attacks at
 150 queries each as ``drew eval`` draws them (2700 queries, scopes from
 the default gate), plus the rank scan of that suite batch.  Then large
@@ -121,7 +124,7 @@ def main() -> None:
     cluster = int(np.argmin(np.abs(sizes - 99)))
     mat, ids = store.embeddings, store.ids
     single, _ = _queries(store, 50, 0.3, "single")
-    routed, _ = _queries(store, 400, 0.3, "routed")
+    routed, routed_rows = _queries(store, 400, 0.3, "routed")
     batch, _ = _queries(store, 2700, 0.3, "batch")
     ranked = {0.3: _queries(store, 150, 0.3, "ranked"),
               0.1: _queries(store, 150, 0.1, "ranked-0.1")}
@@ -162,6 +165,15 @@ def main() -> None:
                       lambda qs=qs: [drew_query(store, q, gate).to_dict() for q in qs], len(qs)))
 
     order, offsets = store.cluster_index
+    for label, scope, qs in ((f"one routed query ({int(sizes[cluster])} rows)", cluster, routed),
+                             ("one full-store query", FULL, single)):
+        cases.append((f"route_and_scan {label}",
+                      lambda scopes=np.array([scope]), qs=qs: [
+                          route_and_scan(mat, ids, order, offsets, scopes, qs[j : j + 1])
+                          for j in range(50)], 50))
+    cases.append(("route_and_scan 400 routed queries",
+                  lambda: route_and_scan(mat, ids, order, offsets, store.clusters[routed_rows],
+                                         routed), len(routed)))
     seg_q, seg_rows = _queries(store, 10_000, 0.3, "segments")
     suite = [_attack_queries(store, a, 150, 11) for a in default_suite() if not a.out_of_dataset]
     suite_keys, suite_q, suite_gt = (np.concatenate(parts) for parts in zip(*suite))

@@ -290,11 +290,8 @@ def decode_batch(
     info = spec.info_positions
     codes = u[:, info]
     mags = np.abs(dec[:, info])
-    last = mags[:, -1]
-    mins = mags.min(axis=1)
-    scores = last if mode == "last-bit" else mins
-    reliable = scores >= threshold
-    return codes, scores, reliable, last, mins
+    scores, reliable = _gate(mags, threshold, mode)
+    return codes, scores, reliable, mags[:, -1], mags.min(axis=1)
 
 
 def decode(
@@ -330,9 +327,14 @@ def decode_keys(spec: PolarCodeSpec, keys: np.ndarray, threshold: float, mode: s
     _check_mode(mode)
     codes, dec = backends.sc_decode_keys(_key_bits(spec, keys), _bit_llrs(spec.design_p),
                                          spec.frozen_mask, spec.m)
-    mags = np.abs(dec, out=dec)
+    return codes_to_ints(codes), _gate(np.abs(dec, out=dec), threshold, mode)[1]
+
+
+def _gate(mags: np.ndarray, threshold: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(scores, reliable)`` of (B, k) information-bit decision LLR magnitudes:
+    the last one (``"last-bit"``) or the least (``"min-bit"``), and ``>= threshold``."""
     scores = mags[:, -1] if mode == "last-bit" else mags.min(axis=1)
-    return codes_to_ints(codes), scores >= threshold
+    return scores, scores >= threshold
 
 
 # ---------------------------------------------------------------------------

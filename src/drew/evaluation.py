@@ -23,9 +23,9 @@ import numpy as np
 
 from . import ecc
 from .channel import AttackConfig, AttackStreams, attack_rows
-from .pipeline import NO_MATCH, QueryConfig, batch_query, decode_scopes, route_and_scan
+from .pipeline import NO_MATCH, QueryConfig, batch_query, decode_scopes
 from .rng import substream
-from .store import Store, csr_index, scan_ranks
+from .store import Store, csr_index, route_and_scan, scan_ranks
 from .store import scan_top1  # noqa: F401  kept as a traced name; see perfbench/spans.py
 from .synthetic import heldout_pool
 
@@ -314,9 +314,8 @@ def estimate_epsilon_r(
 
     Trials draw their stored rows 20000 at a time, as they always have:
     numpy's bounded-integer draws give other values when a draw is split.
-    Keys are flipped, decoded and counted ``_TRIAL_BLOCK`` trials at a
-    time, so the stage's temporaries stay near a megabyte; the flip draws
-    run in order, so blocks of any size see the values of one whole draw.
+    Their keys are flipped, decoded and counted in blocks
+    (:func:`_decoded_blocks`).
 
     When no trial raises the reliable flag the estimate is reported as 0
     with ``low_support`` set; the caller decides what to make of it.
@@ -332,16 +331,10 @@ def estimate_epsilon_r(
     chunk = 20000
     for lo in range(0, n_trials, chunk):
         gt_idx = smp.integers(0, len(store), size=min(chunk, n_trials - lo))
-        for start in range(0, gt_idx.size, _TRIAL_BLOCK):
-            gt_cluster = store.clusters[gt_idx[start : start + _TRIAL_BLOCK]]
-            keys = store.cluster_keys[gt_cluster]
-            if attack.p_a > 0.0:
-                keys ^= kstream.random(keys.shape) < attack.p_a
-            dec, rel = ecc.decode_keys(
-                store.spec, keys, cfg.reliability_threshold, cfg.reliability_mode
-            )
+        for sent, dec, rel in _decoded_blocks(store.spec, store.cluster_keys,
+                                              store.clusters[gt_idx], attack.p_a, kstream, cfg):
             n_rel += int(rel.sum())
-            wrong_reliable += int((rel & (dec != gt_cluster)).sum())
+            wrong_reliable += int((rel & (dec != sent)).sum())
     low = n_rel == 0
     return EpsilonEstimate(
         p_a=attack.p_a,
@@ -350,6 +343,21 @@ def estimate_epsilon_r(
         n_trials=n_trials,
         low_support=low,
     )
+
+
+def _decoded_blocks(spec: ecc.PolarCodeSpec, table: np.ndarray, sent: np.ndarray,
+                    p: float, rng: np.random.Generator, cfg: QueryConfig):
+    """``(block, decoded, reliable)`` of each ``_TRIAL_BLOCK`` block of the
+    cluster indices ``sent``, whose keys ``table[block]`` are flipped at rate
+    ``p`` by draws from ``rng`` in order (so any block size sees the values
+    of one whole draw) and decoded under ``cfg``'s gate."""
+    for start in range(0, sent.size, _TRIAL_BLOCK):
+        block = sent[start : start + _TRIAL_BLOCK]
+        keys = table[block]
+        if p > 0.0:
+            keys ^= rng.random(keys.shape) < p
+        yield block, *ecc.decode_keys(spec, keys, cfg.reliability_threshold,
+                                      cfg.reliability_mode)
 
 
 def epsilon_sweep(
@@ -669,9 +677,7 @@ def fer_sweep(
     reliable share under ``cfg``'s gate.
 
     Each flip rate draws its messages whole, then flips, decodes and
-    counts its frames ``_TRIAL_BLOCK`` at a time, as
-    :func:`estimate_epsilon_r` does; the flip draws run in order, so
-    blocks of any size see the values of one whole draw."""
+    counts their keys in blocks (:func:`_decoded_blocks`)."""
     if frames < 1:
         raise ValueError("frames must be positive")
     rows = []
@@ -683,13 +689,7 @@ def fer_sweep(
         rng = substream(seed, f"fer/p={p!r}")
         msgs = rng.integers(0, 1 << spec.k, size=frames)
         errors = n_rel = 0
-        for start in range(0, frames, _TRIAL_BLOCK):
-            sent = msgs[start : start + _TRIAL_BLOCK]
-            keys = table[sent]
-            if p > 0.0:
-                keys ^= rng.random(keys.shape) < p
-            dec, rel = ecc.decode_keys(spec, keys, cfg.reliability_threshold,
-                                       cfg.reliability_mode)
+        for sent, dec, rel in _decoded_blocks(spec, table, msgs, p, rng, cfg):
             errors += int((dec != sent).sum())
             n_rel += int(rel.sum())
         fer = errors / frames

@@ -13,7 +13,7 @@ directly from float64 rows stays float64 and runs the same code.  Queries
 and every returned similarity are float64.
 
 Every scan runs one method, in ``_exact_top`` and in its segmented form
-for batches of routed queries, :func:`scan_segments`: a BLAS product in
+for batches of routed queries (:func:`_segment_run`): a BLAS product in
 the rows' dtype picks candidates, and only candidates are rescored with the
 fixed-order float64 einsum of ``_row_sims`` (rows cast up exactly), which
 alone produces the similarities that are returned ("compute in low
@@ -68,14 +68,14 @@ thread.  A scan of one row tile, such as a single query over the whole
 store or any cluster scan, starts no thread, and neither does a scan made
 on any thread but the main one (:func:`_scan_threads`).
 
-:func:`scan_segments` answers queries that each name their own cluster
-of a CSR layout in one pass: one stable argsort groups them by cluster,
-each group's BLAS product is written query-major into one flat pair
-buffer (a run of whole groups, which with its thresholds and candidate
-mask stays within ``_CHUNK_BYTES``), and per-query maxima, thresholds,
-candidates, rescore and order run once over all the segments of that
-buffer.  It starts no thread, except that a group too large for one run
-is a :func:`scan_top1` call of its own.
+:func:`route_and_scan` is the one scoped scan, and the only code that
+picks how a batch's scopes (clusters of a CSR layout, or the whole store)
+are scanned.  Its segmented pass answers many small groups together: each
+group's BLAS product is written query-major into one flat pair buffer (a
+run of whole groups, which with its thresholds and candidate mask stays
+within ``_CHUNK_BYTES``), and per-query maxima, thresholds, candidates,
+rescore and order run once over all the segments of that buffer, on the
+calling thread.
 
 The evaluation's scan (:func:`scan_ranks`) also returns each query's
 ground-truth rank under the same order, in the same pass: with
@@ -439,7 +439,7 @@ def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 #: Upper bound, in bytes, on one rescore gather, on one run of the
-#: segmented pass (:func:`scan_segments`) and on one tile of a scan of
+#: segmented pass (:func:`route_and_scan`) and on one tile of a scan of
 #: fewer than ``_TILE_QUERIES`` queries (:func:`_exact_top`).
 _CHUNK_BYTES = 16 << 20
 
@@ -684,9 +684,15 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
         ahead = _ahead(ids, row[inband], sims[inband], ids[gt_rows[bq]], gsim[bq])
         ranks = 1 + np.sum(counts, axis=0) + np.bincount(bq[ahead], minlength=B)
         row, qrow, sims = row[hit], qrow[hit], sims[hit]
-    order = np.lexsort((ids[row], -sims, qrow))
-    pick = order[np.searchsorted(qrow[order], np.arange(B))[:, None] + np.arange(keep)]
+    pick = _first(ids, row, sims, qrow, B, keep)
     return row[pick], sims[pick], ranks
+
+
+def _first(ids, row, sims, qrow, B: int, keep: int) -> np.ndarray:
+    """(B, keep) positions, in the candidates ``row``, ``sims`` and ``qrow``,
+    of each query's first ``keep`` in the (similarity desc, id asc) order."""
+    by = np.lexsort((ids[row], -sims, qrow))
+    return by[np.searchsorted(qrow[by], np.arange(B))[:, None] + np.arange(keep)]
 
 
 def _scan_rows(mat, first, Q, widths, keep, band, step, span):
@@ -851,16 +857,11 @@ def scan_top1(embeddings: np.ndarray, ids: np.ndarray,
               queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact argmax over ``embeddings`` for each query row.
 
-    Returns (best_index, best_sim) per query, ties broken by ascending id.
-    This is :func:`top_matches` with p=1 on a batch: both run
-    :func:`_exact_top`, so the results agree bit for bit.  Candidates come
-    from stacked, single-threaded BLAS products in the rows' dtype, one
-    tile of at most ``_TILE_BYTES`` = 1 MiB of similarities at a time (the
-    row tiles split among threads when there are several);
-    only rows within ``2*delta`` of each query's BLAS maximum are rescored
-    in float64 with :func:`_row_sims`, where ``delta`` (module docstring)
-    bounds the BLAS vs einsum gap.  Rows must be unit norm within
-    ``_NORM_TOL``; query norms are taken as measured.
+    Returns (best_index, best_sim) per query, ties broken by ascending id:
+    :func:`top_matches` at p=1 on a batch, through the same
+    :func:`_exact_top` (module docstring), so the results agree bit for
+    bit.  Rows must be unit norm within ``_NORM_TOL``; query norms are
+    taken as measured.
     """
     rows, sims, _ = _exact_top(embeddings, ids, queries, 1)
     return rows[:, 0], sims[:, 0]
@@ -879,78 +880,75 @@ def scan_ranks(embeddings: np.ndarray, ids: np.ndarray, queries: np.ndarray,
     return rows[:, 0], sims[:, 0], ranks
 
 
-def scan_segments(embeddings: np.ndarray, ids: np.ndarray, order: np.ndarray,
-                  offsets: np.ndarray, labels: np.ndarray,
-                  queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact argmax of each query row over the rows of its own label, for
-    all labels in one segmented pass.
+def route_and_scan(embeddings: np.ndarray, ids: np.ndarray, order, offsets, scopes,
+                   queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-1 of every query within its scope, for ``drew query``,
+    the library and ``drew eval`` alike.
 
-    ``labels[j]`` is a label of the CSR layout ``(order, offsets)``
-    (:func:`csr_index`) whose rows must not be empty.  Returns (best_index,
-    best_sim) per query, the index into ``embeddings``, ties broken by
-    ascending id: bit for bit what :func:`scan_top1` returns over that
-    label's rows, since both return the (einsum similarity desc, id asc)
-    first row and only the shortlist that leads to it differs.
-
-    The pass is :func:`_exact_top`'s shortlist-then-rescore over the
-    inverted lists of an IVF index (Jegou, Douze and Schmid, IEEE TPAMI
-    33(1), 2011), kept exact.  One stable argsort groups the queries by
-    label.  A group's pairs (its queries times its label's rows) are its
-    share of the pass; the groups are cut, whole, into runs of at most
-    ``_CHUNK_BYTES // (2 * itemsize + 1)`` pairs, so that a run's pair
-    buffer, its per-pair thresholds and its candidate mask together stay
-    within ``_CHUNK_BYTES``.  In a run, each group's rows are gathered
-    once and its BLAS product (:func:`_blas_sims`, so no product wakes
-    BLAS's threads) is written, query-major, into one flat pair buffer,
-    which holds every query's similarities to its label's rows as one
-    contiguous segment.  Over all segments at once: each query's BLAS
-    maximum (``np.maximum.reduceat``), its ``t - 2*delta`` threshold
-    rounded outward, the candidates at or above it, their
-    :func:`_row_sims` rescore and one lexsort on (query, -similarity, id).
-    A group with more pairs than one run holds, such as most queries of a
-    batch over a few large clusters, is one :func:`scan_top1` call over
-    its rows instead, whose fixed cost is small beside its scan and which
-    may split its row tiles among threads.
+    ``scopes[j]`` is a label of the CSR layout ``(order, offsets)``
+    (:func:`csr_index`), whose rows must not be empty, or :data:`FULL`;
+    ``order`` and ``offsets`` are not read when every scope is
+    :data:`FULL`.  Returns ``(row, sim, scope_size)`` per query: the best
+    row's index into ``embeddings``, its similarity (ties broken by
+    ascending id) and its scope's row count.  A batch of one scope is one
+    :func:`_exact_top` call, which rescores every row of a small scope for
+    a lone query (:func:`_scan_one`).  Otherwise one stable argsort groups
+    the queries; the whole store's group, and each group of more pairs
+    (queries times rows) than a run of ``_CHUNK_BYTES // (2 * itemsize +
+    1)`` holds, is answered as a batch of its one scope, and the other
+    groups, cut whole into runs, share the segmented pass
+    (:func:`_segment_run`), an exact
+    scan of an IVF index's inverted lists (Jegou, Douze and Schmid, IEEE
+    TPAMI 33(1), 2011).  Every strategy returns the (einsum similarity
+    desc, id asc) first row, so an answer does not depend on which queries
+    share its batch; each is the fastest measured at its size (README,
+    "Exact scans").
     """
-    labels = np.asarray(labels)
+    scopes = np.asarray(scopes)
+    B = scopes.shape[0]
+    label = int(scopes[0]) if B else FULL
+    if B < 2 or (scopes == label).all():
+        members = slice(None) if label == FULL else order[offsets[label] : offsets[label + 1]]
+        scope_ids = ids[members]
+        rows, sims, _ = _exact_top(embeddings[members], scope_ids, queries, 1)
+        size = np.empty(B, dtype=np.int64)
+        size.fill(scope_ids.size)
+        return (rows[:, 0] if label == FULL else members[rows[:, 0]]), sims[:, 0], size
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    widths = _widths(queries, embeddings.dtype)
-    B = labels.shape[0]
-    perm = np.argsort(labels, kind="stable")
-    heads = np.flatnonzero(np.diff(labels[perm], prepend=-1))  # each group's first query
-    counts = np.diff(heads, append=B)
-    first = offsets[labels[perm[heads]]]  # where each group's rows start in ``order``
-    sizes = offsets[labels[perm[heads]] + 1] - first
-    if not sizes.all():
+    size = np.where(scopes == FULL, embeddings.shape[0], offsets[scopes + 1] - offsets[scopes])
+    if not size.all():
         raise ValueError("cannot scan an empty scope")
+    perm = np.argsort(scopes, kind="stable")
+    heads = np.flatnonzero(np.diff(scopes[perm], prepend=FULL - 1))  # each group's first query
+    counts = np.diff(heads, append=B)
+    labels, sizes = scopes[perm[heads]], size[perm[heads]]
     pairs = counts * sizes
     limit = max(1, _CHUNK_BYTES // (2 * embeddings.itemsize + 1))
-    best = np.empty(B, dtype=np.intp)
+    whole = (labels == FULL) | (pairs > limit)
+    row = np.empty(B, dtype=np.intp)
     sim = np.empty(B)
-    for g in np.flatnonzero(pairs > limit).tolist():
+    for g in np.flatnonzero(whole).tolist():
         group = perm[heads[g] : heads[g] + counts[g]]
-        rows = order[first[g] : first[g] + sizes[g]]
-        idx, sim[group] = scan_top1(embeddings[rows], ids[rows], queries[group])
-        best[group] = rows[idx]
-    small = pairs <= limit
-    sorted_q = perm[np.repeat(small, counts)]  # the small groups' queries, group by group
-    first, sizes, counts, pairs = first[small], sizes[small], counts[small], pairs[small]
+        row[group], sim[group], _ = route_and_scan(embeddings, ids, order, offsets,
+                                                   scopes[group], queries[group])
+    sorted_q = perm[np.repeat(~whole, counts)]  # the other groups' queries, group by group
+    labels, sizes, counts, pairs = labels[~whole], sizes[~whole], counts[~whole], pairs[~whole]
     ends, q_ends = np.cumsum(pairs), np.cumsum(counts)
     lo = 0
     while lo < pairs.size:
         hi = int(np.searchsorted(ends, ends[lo] - pairs[lo] + limit, "right"))
         run = sorted_q[q_ends[lo] - counts[lo] : q_ends[hi - 1]]
-        best[run], sim[run] = _segment_run(embeddings, ids, order, first[lo:hi], sizes[lo:hi],
-                                           counts[lo:hi], queries[run], widths[run])
+        row[run], sim[run] = _segment_run(embeddings, ids, order, offsets[labels[lo:hi]],
+                                          sizes[lo:hi], counts[lo:hi], queries[run])
         lo = hi
-    return best, sim
+    return row, sim, size
 
 
-def _segment_run(mat, ids, order, first, sizes, counts, Q, width):
-    """:func:`scan_segments` over one run of groups: group g's rows of
+def _segment_run(mat, ids, order, first, sizes, counts, Q):
+    """The segmented pass of :func:`route_and_scan` over one run of
+    groups: each query's best row and its similarity.  Group g's rows of
     ``order`` start at ``first[g]`` and number ``sizes[g]``, and its
-    ``counts[g]`` queries are the next rows of ``Q``; ``width`` is each
-    query's ``2*delta``."""
+    ``counts[g]`` queries are the next rows of ``Q``."""
     B = Q.shape[0]
     seg = np.repeat(sizes, counts)  # each query's segment length
     starts = np.cumsum(seg) - seg  # and start in the pair buffer
@@ -962,14 +960,14 @@ def _segment_run(mat, ids, order, first, sizes, counts, Q, width):
         pairs[s : s + c * n].reshape(c, n)[...] = b.T
         q, s = q + c, s + c * n
     t = np.maximum.reduceat(pairs, starts)
-    thr = _outward(t - width, mat.dtype, -np.inf)
+    thr = _outward(t - _widths(Q, mat.dtype), mat.dtype, -np.inf)
     at = np.flatnonzero(pairs >= np.repeat(thr, seg))
     del pairs
     qrow = np.searchsorted(starts, at, "right") - 1  # ascending, as ``at`` is
     row = order[at + (np.repeat(first, counts) - starts)[qrow]]
     sims = _rescore(mat, row, Q, qrow)
     if at.size > B:  # some query kept more than its BLAS argmax
-        pick = np.lexsort((ids[row], -sims, qrow))[np.searchsorted(qrow, np.arange(B))]
+        pick = _first(ids, row, sims, qrow, B, 1)[:, 0]
         row, sims = row[pick], sims[pick]
     return row, sims
 

@@ -241,11 +241,13 @@ def _bits(x) -> np.ndarray:
 
 
 def test_route_and_scan_one_query_equals_batch():
-    """A single query skips the grouping (and scans a small scope by
-    rescoring every row); its answer and the dtypes of its arrays are those
-    the same query gets inside a batch whose groups go through the BLAS
-    shortlist, for the full-store scope, a cluster and the fallback scope of
-    a reliable decode into an empty cluster."""
+    """A batch of one scope skips the grouping: a single query (which scans
+    a small scope by rescoring every row), several queries of the whole
+    store with no CSR layout, and several of one cluster.  Their answers and
+    the dtypes of their arrays are those the same queries get inside a batch
+    of several scopes, for the full-store scope, a cluster and the fallback
+    scope of a reliable decode into an empty cluster; the empty cluster
+    itself is still refused."""
     raw = synthetic_store(60, 8, seed=6)
     rows = np.concatenate([raw.embeddings, raw.embeddings[:10]])  # ten exact ties
     ids = substream(6, "kernel-ids").permutation(70).astype(np.uint64) + 100
@@ -271,6 +273,15 @@ def test_route_and_scan_one_query_equals_batch():
             assert got.dtype == want.dtype and got.shape == (1,)
         assert (one[0][0], one[2][0]) == (row[j], size[j]), j
         assert _bits(one[1][0]) == _bits(sim[j]), j
+    for scope, layout in ((-1, (None, None)), (cluster, (order, offsets))):
+        group = np.flatnonzero(scopes == scope)
+        assert group.size > 1
+        alike = route_and_scan(store.embeddings, store.ids, *layout, scopes[group], queries[group])
+        for got, want in zip(alike, (row, sim, size)):
+            assert got.dtype == want.dtype and got.tobytes() == want[group].tobytes(), scope
+    with pytest.raises(ValueError, match="cannot scan an empty scope"):
+        route_and_scan(store.embeddings, store.ids, order, offsets, np.full(3, empty[0]),
+                       queries[:3])
 
     # the library's one-row call on the empty cluster's key falls back
     keys = np.repeat(store.cluster_keys[empty[:1]], 3, axis=0)

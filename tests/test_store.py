@@ -26,9 +26,9 @@ from drew.store import (
     ingest,
     ingest_csv,
     load_store,
+    route_and_scan,
     save_store,
     scan_ranks,
-    scan_segments,
     scan_top1,
     top_matches,
 )
@@ -669,11 +669,12 @@ def _per_scope_top1(emb, ids, order, offsets, scopes, queries):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", [_tied_segments_case, _ulp_segments_case])
 def test_segmented_pass_equals_per_cluster_scans(monkeypatch, dtype, case):
-    """One segmented pass gives each query what :func:`scan_top1` gives over
-    its cluster, bit for bit: in a batch per cluster and alone, for exact
-    ties won by the least id, one-row clusters and float32-ulp near-ties,
-    in one run of pairs, in runs of at most ``_CHUNK_BYTES`` each, and
-    with the groups too large for a run scanned by :func:`scan_top1`."""
+    """:func:`route_and_scan` gives each query what :func:`scan_top1` gives
+    over its cluster, bit for bit: in a batch per cluster and alone, for
+    exact ties won by the least id, one-row clusters and float32-ulp
+    near-ties, in one segmented run of pairs, in runs of at most
+    ``_CHUNK_BYTES`` each, with the groups too large for a run scanned by
+    an ``_exact_top`` call of their own, and alone as one such call."""
     emb, ids, labels, queries, qlabels = case(dtype)
     order, offsets = csr_index(labels, int(labels.max()) + 2)  # the last label is empty
     sizes = np.diff(offsets)
@@ -686,18 +687,18 @@ def test_segmented_pass_equals_per_cluster_scans(monkeypatch, dtype, case):
         assert (ids[want_row[j]], _bits(want_sim[j])) == (ref_ids[0], _bits(ref_sims[0]))
 
     runs, whole = [], []
-    real_run, real_top1 = store_mod._segment_run, store_mod.scan_top1
+    real_run, real_top = store_mod._segment_run, store_mod._exact_top
 
-    def logged_run(mat, ids_, order_, first, sizes_, counts, Q, width):
+    def logged_run(mat, ids_, order_, first, sizes_, counts, Q):
         runs.append(int((sizes_ * counts).sum()))
-        return real_run(mat, ids_, order_, first, sizes_, counts, Q, width)
+        return real_run(mat, ids_, order_, first, sizes_, counts, Q)
 
-    def logged_top1(mat, ids_, Q):
+    def logged_top(mat, ids_, Q, p, gt_rows=None):
         whole.append(mat.shape[0] * Q.shape[0])
-        return real_top1(mat, ids_, Q)
+        return real_top(mat, ids_, Q, p, gt_rows)
 
     monkeypatch.setattr(store_mod, "_segment_run", logged_run)
-    monkeypatch.setattr(store_mod, "scan_top1", logged_top1)
+    monkeypatch.setattr(store_mod, "_exact_top", logged_top)
     pairs = np.bincount(qlabels, minlength=len(sizes)) * sizes
     per_pair = 2 * emb.itemsize + 1  # pair, threshold and mask bytes
     big = int(pairs.max())
@@ -706,24 +707,27 @@ def test_segmented_pass_equals_per_cluster_scans(monkeypatch, dtype, case):
         runs.clear()
         whole.clear()
         monkeypatch.setattr(store_mod, "_CHUNK_BYTES", chunk)
-        row, sim = scan_segments(emb, ids, order, offsets, qlabels, queries)
+        row, sim, size = route_and_scan(emb, ids, order, offsets, qlabels, queries)
         assert np.array_equal(row, want_row)
         assert np.array_equal(_bits(sim), _bits(want_sim))
+        assert np.array_equal(size, sizes[qlabels])
         assert all(n * per_pair <= chunk for n in runs)
         assert sum(runs) + sum(whole) == int(pairs.sum())
         assert whole == scanned_whole
         assert len(runs) == 1 if chunk > per_pair * pairs.sum() else len(runs) > 2
-    for j in range(len(qlabels)):  # one query alone is one run of one segment
-        row, sim = scan_segments(emb, ids, order, offsets, qlabels[j : j + 1], queries[j : j + 1])
+    for j in range(len(qlabels)):  # one query alone is one _exact_top call over its cluster
+        runs.clear()
+        whole.clear()
+        row, sim, size = route_and_scan(emb, ids, order, offsets, qlabels[j : j + 1],
+                                        queries[j : j + 1])
         assert (row[0], _bits(sim[0])) == (want_row[j], _bits(want_sim[j]))
+        assert runs == [] and whole == [size[0]] == [sizes[qlabels[j]]]
 
 
 def test_segmented_pass_mixed_with_full_scopes():
     """``route_and_scan`` answers scope -1 with one full-store scan and
     every other scope with the segmented pass; each answer is the one its
     scope's own :func:`scan_top1` call gives."""
-    from drew.pipeline import route_and_scan
-
     emb, ids, labels, queries, qlabels = _tied_segments_case(np.float32)
     order, offsets = csr_index(labels, 15)
     scopes = np.where(substream(15, "mixed-scopes").random(len(qlabels)) < 0.3, -1, qlabels)
@@ -739,7 +743,7 @@ def test_segmented_pass_rejects_an_empty_cluster():
     emb, ids, labels, queries, _ = _tied_segments_case(np.float32)
     order, offsets = csr_index(labels, 15)
     with pytest.raises(ValueError, match="empty scope"):
-        scan_segments(emb, ids, order, offsets, np.array([0, 14]), queries[:2])
+        route_and_scan(emb, ids, order, offsets, np.array([0, 14]), queries[:2])
 
 
 def _logged_runs(patch, log):
@@ -936,7 +940,7 @@ def test_segmented_products_stay_single_threaded_size(monkeypatch):
     order, offsets = store.cluster_index
     log = _MatmulLog()
     monkeypatch.setattr(store_mod, "np", log)
-    scan_segments(store.embeddings, store.ids, order, offsets, labels, queries)
+    route_and_scan(store.embeddings, store.ids, order, offsets, labels, queries)
     assert len(log.madds) > 4
     assert max(log.madds) <= store_mod._BLAS_MADDS
     assert sum(log.madds) == int(np.diff(offsets)[labels].sum()) * 64
