@@ -21,7 +21,9 @@ their rows' own clusters (a sparse batch of several hundred scopes).  Then
 the segmented pass: ``route_and_scan`` of 10000 queries, each routed to its
 row's own cluster, and of the default suite's 18 in-dataset attacks at
 150 queries each as ``drew eval`` draws them (2700 queries, scopes from
-the default gate), plus the rank scan of that suite batch.  Then large
+the ``min-bit`` 5 gate, under which about a quarter of them fall back to
+the whole store, so the batch mixes full-store and routed groups; the row
+label gives that share), plus the rank scan of that suite batch.  Then large
 routed scopes, whose groups are whole-scope ``scan_top1`` calls:
 ``cluster_subset_accuracy`` as ``drew eval``'s subset stage runs it,
 over k = 0, 2, ..., 12 with 2000 queries (k = 0 is the whole store, k =
@@ -177,9 +179,11 @@ def main() -> None:
     seg_q, seg_rows = _queries(store, 10_000, 0.3, "segments")
     suite = [_attack_queries(store, a, 150, 11) for a in default_suite() if not a.out_of_dataset]
     suite_keys, suite_q, suite_gt = (np.concatenate(parts) for parts in zip(*suite))
-    suite_scopes = decode_scopes(store, suite_keys, QueryConfig())[2]
+    suite_scopes = decode_scopes(store, suite_keys, gate)[2]
+    fallback_share = float(np.mean(suite_scopes == FULL))
     for label, scopes, qs in (("10000 routed queries", store.clusters[seg_rows], seg_q),
-                              (f"suite batch, {len(suite_q)} queries", suite_scopes, suite_q)):
+                              (f"suite batch, {len(suite_q)} queries, "
+                               f"{fallback_share:.0%} scope -1", suite_scopes, suite_q)):
         cases.append((f"route_and_scan {label}",
                       lambda scopes=scopes, qs=qs: route_and_scan(mat, ids, order, offsets,
                                                                   scopes, qs), len(qs)))
@@ -200,7 +204,7 @@ def main() -> None:
           "CPU ms of other threads, output digest")
     for name, fn, n in cases:
         med, lo, hi, out, other = _time(fn, n)
-        print(f"{name:46s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  "
+        print(f"{name:56s} {med:9.1f}  {f'[{lo:.1f}-{hi:.1f}]':>20s}  "
               f"{other:7.1f}  {_digest(out)}")
     for label, (qs, gt) in (("150 queries, σ=0.3", ranked[0.3]),
                             (f"suite batch, {len(suite_q)} queries", (suite_q, suite_gt))):

@@ -16,6 +16,7 @@ import sys
 import tempfile
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,9 +29,6 @@ from .store import StoreFormatError, ingest_csv, load_store, save_store
 from .synthetic import synthetic_store
 
 CURVE_HEADER = "attack,p_A,sigma,metric,value,stderr,seed"
-
-_STAGES = ("accuracy", "epsilon", "lemma1", "roc", "subset", "capacity-curve")
-
 
 class CliError(Exception):
     exit_code = 2
@@ -393,40 +391,30 @@ def cmd_query(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _default_golden_text() -> str | None:
-    ref = resources.files("drew").joinpath("data/golden_epsilon_r.json")
-    if not ref.is_file():
-        return None
-    return ref.read_text(encoding="utf-8")
-
-
 def _load_golden(path: str | None) -> dict | None:
-    if path is not None:
-        if not os.path.exists(path):
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    text = _default_golden_text()
-    return None if text is None else json.loads(text)
+    """The golden file at ``path``, or the packaged one; None if absent."""
+    if path is None:
+        ref = resources.files("drew").joinpath("data/golden_epsilon_r.json")
+        return json.loads(ref.read_text(encoding="utf-8")) if ref.is_file() else None
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _stage_accuracy(store, suite, cfg, n_queries, seed, workers):
+def _stage_accuracy(store, run):
     from . import evaluation
 
     report = evaluation.run_accuracy_eval(
-        store, suite, cfg, n_queries, seed, workers=workers
+        store, run.in_dataset, run.cfg, run.n_queries, run.seed, workers=run.workers
     )
+    seed = run.seed
     rows = []
     violations = []
     for r in report.attacks:
-        for metric, value in (
-            ("acc_drew", r.acc_drew),
-            ("acc_naive", r.acc_naive),
-            ("epsilon_r", r.epsilon_r),
-            ("p_reliable", r.p_reliable),
-            ("gain_term", r.gain_term),
-            ("loss_term", r.loss_term),
-        ):
+        for metric in ("acc_drew", "acc_naive", "epsilon_r", "p_reliable", "gain_term",
+                       "loss_term"):
+            value = getattr(r, metric)
             rows.append(
                 (r.name, r.p_a, r.sigma, metric, value, _binom_se(value, r.n_queries), seed)
             )
@@ -437,29 +425,31 @@ def _stage_accuracy(store, suite, cfg, n_queries, seed, workers):
             violations.append(f"never-worse band failed for attack {r.name}")
         if not r.fallback_identity:
             violations.append(f"fallback identity failed for attack {r.name}")
-    return report.to_dict(), rows, violations
+    return report.to_dict(), rows, violations, False
 
 
-def _stage_epsilon(store, golden, out_dir, seed, n_trials, cfg):
-    """Golden-number check; returns (section, rows, violations, missing)."""
+def _stage_epsilon(store, run):
+    """Golden-number check; without a golden file, writes a candidate one
+    and asks for calibration."""
     from . import evaluation
 
     spec = store.spec
+    golden = _load_golden(run.golden)
     if golden is None:
         grid = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
-        estimates = evaluation.epsilon_sweep(store, grid, n_trials, seed, cfg)
+        estimates = evaluation.epsilon_sweep(store, grid, run.n_trials, run.seed, run.cfg)
         candidate = {
             "spec": spec.to_dict(),
-            "threshold": cfg.reliability_threshold,
-            "reliability_mode": cfg.reliability_mode,
-            "n_trials": n_trials,
-            "seed": seed,
+            "threshold": run.cfg.reliability_threshold,
+            "reliability_mode": run.cfg.reliability_mode,
+            "n_trials": run.n_trials,
+            "seed": run.seed,
             "points": [{"p_A": e.p_a, "value": e.value, "n_reliable": e.n_reliable}
                        for e in estimates],
         }
-        path = os.path.join(out_dir, "golden_epsilon_r.candidate.json")
+        path = os.path.join(run.out_dir, "golden_epsilon_r.candidate.json")
         _write_atomic(path, _json_text(candidate))
-        return {"status": "calibration-required", "candidate": path}, [], [], True
+        return {"status": "calibration-required", "candidate": path}, None, [], True
     mismatch = [
         key for key in ("k", "n", "block_len", "design_p")
         if golden["spec"][key] != getattr(spec, key)
@@ -467,70 +457,64 @@ def _stage_epsilon(store, golden, out_dir, seed, n_trials, cfg):
     if mismatch:
         return (
             {"status": "skipped", "reason": f"store spec differs from golden: {mismatch}"},
-            [], [], False,
+            None, [], False,
         )
     # the golden's own threshold and mode, not the run's gate
-    ok, rows = evaluation.check_epsilon_goldens(store, golden, seed, n_trials=n_trials)
+    ok, rows = evaluation.check_epsilon_goldens(store, golden, run.seed, n_trials=run.n_trials)
     curve = [
-        ("epsilon_sweep", r["p_A"], 0.0, "epsilon_r", r["estimate"], r["band"] / 3.0, seed)
+        ("epsilon_sweep", r["p_A"], 0.0, "epsilon_r", r["estimate"], r["band"] / 3.0, run.seed)
         for r in rows
     ]
     violations = [] if ok else [
         f"epsilon_r golden band failed at p_A={r['p_A']}" for r in rows if not r["ok"]
     ]
-    return {"status": "ok" if ok else "violation", "points": rows}, curve, violations, False
+    return {"status": "ok" if ok else "violation", "points": rows}, curve or None, violations, False
 
 
-def _stage_lemma1(store, n_queries, seed):
+def _stage_lemma1(store, run):
     from . import evaluation
 
     attack = AttackConfig(name="lemma-regime", p_a=0.0, sigma=0.45)
     rec = evaluation.lemma1_check(
-        store, attack, store.spec.k, (2, 5, 10, 20), n_queries, seed
+        store, attack, store.spec.k, (2, 5, 10, 20), run.n_queries, run.seed
     )
-    violations = [] if rec.holds else ["lemma1 bound failed"]
-    return rec.to_dict(), violations
+    return rec.to_dict(), None, [] if rec.holds else ["lemma1 bound failed"], False
 
 
-def _stage_roc(store, suite, cfg, seed, n_in, n_out, attack_name):
+def _stage_roc(store, run):
     from . import evaluation
 
-    by_name = {a.name: a for a in suite}
-    if attack_name not in by_name:
-        raise UsageError(f"--roc-attack {attack_name!r} is not in the suite")
-    rec = evaluation.roc_eval(store, by_name[attack_name], n_in, n_out, seed, cfg)
+    by_name = {a.name: a for a in run.suite}
+    if run.roc_attack not in by_name:
+        raise UsageError(f"--roc-attack {run.roc_attack!r} is not in the suite")
+    attack = by_name[run.roc_attack]
+    rec = evaluation.roc_eval(store, attack, run.n_in, run.n_out, run.seed, run.cfg)
     curve = [
-        (attack_name, by_name[attack_name].p_a, by_name[attack_name].sigma,
-         metric, value, 0.0, seed)
-        for metric, value in (
-            ("auroc_drew", rec.auroc_drew),
-            ("auroc_naive", rec.auroc_naive),
-            ("tpr_at_fpr_0_1_drew", rec.tpr_at_fpr_0_1_drew),
-            ("tpr_at_fpr_0_1_naive", rec.tpr_at_fpr_0_1_naive),
-        )
+        (attack.name, attack.p_a, attack.sigma, metric, getattr(rec, metric), 0.0, run.seed)
+        for metric in ("auroc_drew", "auroc_naive", "tpr_at_fpr_0_1_drew", "tpr_at_fpr_0_1_naive")
     ]
     violations = []
     if rec.auroc_drew < rec.auroc_naive - 0.01:
         violations.append("drew AUROC fell more than 0.01 below naive AUROC")
-    return rec.to_dict(), curve, violations
+    return rec.to_dict(), curve, violations, False
 
 
-def _stage_subset(store, seed, n_queries):
+def _stage_subset(store, run):
     from . import evaluation
 
     attack = AttackConfig(name="subset-regime", p_a=0.0, sigma=0.5)
     k_grid = [0, 2, 4, 6, 8, 10, 12]
-    rows = evaluation.cluster_subset_accuracy(store, attack, k_grid, n_queries, seed)
+    rows = evaluation.cluster_subset_accuracy(store, attack, k_grid, run.n_queries, run.seed)
     curve = [
         ("subset-regime", 0.0, 0.5, f"subset_accuracy_k{r['k']}", r["accuracy"],
-         _binom_se(r["accuracy"], n_queries), seed)
+         _binom_se(r["accuracy"], run.n_queries), run.seed)
         for r in rows
     ]
     accs = [r["accuracy"] for r in rows]
     violations = []
     if any(a > b + 1e-12 for a, b in zip(accs, accs[1:])):
         violations.append("subset accuracy is not non-decreasing in k")
-    return rows, curve, violations
+    return rows, curve, violations, False
 
 
 def _capacity_rows(grid, seed) -> tuple[list[dict], list[tuple]]:
@@ -544,24 +528,44 @@ def _capacity_rows(grid, seed) -> tuple[list[dict], list[tuple]]:
     return table, curve
 
 
+def _stage_capacity(store, run):
+    grid = np.round(np.linspace(0.0, 0.5, 51), 6).tolist()
+    return (*_capacity_rows(grid, run.seed), [], False)
+
+
+#: ``drew eval``'s stages in run order: ``--only`` name -> (report key, CSV
+#: file or None, stage function).  A stage function takes ``(store, run)``,
+#: ``run`` holding the settings :func:`cmd_eval` resolves, and returns
+#: ``(section, rows or None, violations, calibration_needed)``; its rows
+#: go to its CSV file, which is not written when they are None.
+_STAGES = {
+    "accuracy": ("accuracy", "accuracy.csv", _stage_accuracy),
+    "epsilon": ("epsilon_golden", "epsilon.csv", _stage_epsilon),
+    "lemma1": ("lemma1", None, _stage_lemma1),
+    "roc": ("roc", "roc.csv", _stage_roc),
+    "subset": ("subset", "subset.csv", _stage_subset),
+    "capacity-curve": ("capacity", "capacity.csv", _stage_capacity),
+}
+
+
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     store_path = _setting(args, config, "store")
     if store_path is None:
         raise UsageError("eval needs --store")
     store = load_store(store_path)
-    cfg = _query_config(args, config)
-    seed = int(_setting(args, config, "seed"))
-    n_queries = int(_setting(args, config, "n_queries"))
-    n_trials = int(_setting(args, config, "n_trials"))
-    out_dir = _out_dir(args, config)
-
+    run = SimpleNamespace(  # keyword arguments run in order: the out dir is made last
+        cfg=_query_config(args, config),
+        seed=int(_setting(args, config, "seed")),
+        n_queries=int(_setting(args, config, "n_queries")),
+        n_trials=int(_setting(args, config, "n_trials")),
+        golden=_setting(args, config, "golden"),
+        workers=args.workers, n_in=args.n_in, n_out=args.n_out, roc_attack=args.roc_attack,
+        out_dir=_out_dir(args, config),
+    )
     suite_path = _setting(args, config, "suite")
-    if suite_path is not None:
-        suite = load_suite(suite_path)
-    else:
-        suite = default_suite()
-    in_dataset = [a for a in suite if not a.out_of_dataset]
+    run.suite = load_suite(suite_path) if suite_path is not None else default_suite()
+    run.in_dataset = [a for a in run.suite if not a.out_of_dataset]
 
     stages = list(_STAGES) if not args.only else args.only.split(",")
     for stage in stages:
@@ -578,65 +582,35 @@ def cmd_eval(args) -> int:
             "design_p": store.spec.design_p,
         },
         "config": {
-            "seed": seed,
-            "n_queries": n_queries,
-            "n_trials": n_trials,
-            "reliability_threshold": cfg.reliability_threshold,
-            "tau_r": cfg.tau_r,
-            "reliability_mode": cfg.reliability_mode,
+            "seed": run.seed,
+            "n_queries": run.n_queries,
+            "n_trials": run.n_trials,
+            "reliability_threshold": run.cfg.reliability_threshold,
+            "tau_r": run.cfg.tau_r,
+            "reliability_mode": run.cfg.reliability_mode,
         },
         "stages": stages,
     }
     violations: list[str] = []
     calibration_needed = False
-
-    if "accuracy" in stages:
-        section, rows, bad = _stage_accuracy(
-            store, in_dataset, cfg, n_queries, seed, args.workers
-        )
-        report["accuracy"] = section
-        violations += bad
-        _write_atomic(os.path.join(out_dir, "accuracy.csv"), _curve_text(rows))
-    if "epsilon" in stages:
-        golden = _load_golden(_setting(args, config, "golden"))
-        section, rows, bad, missing = _stage_epsilon(
-            store, golden, out_dir, seed, n_trials, cfg
-        )
-        report["epsilon_golden"] = section
+    for name, (key, csv_name, stage) in _STAGES.items():
+        if name not in stages:
+            continue
+        section, rows, bad, missing = stage(store, run)
+        report[key] = section
         violations += bad
         calibration_needed |= missing
-        if rows:
-            _write_atomic(os.path.join(out_dir, "epsilon.csv"), _curve_text(rows))
-    if "lemma1" in stages:
-        section, bad = _stage_lemma1(store, n_queries, seed)
-        report["lemma1"] = section
-        violations += bad
-    if "roc" in stages:
-        section, rows, bad = _stage_roc(
-            store, suite, cfg, seed, args.n_in, args.n_out, args.roc_attack
-        )
-        report["roc"] = section
-        violations += bad
-        _write_atomic(os.path.join(out_dir, "roc.csv"), _curve_text(rows))
-    if "subset" in stages:
-        section, rows, bad = _stage_subset(store, seed, n_queries)
-        report["subset"] = section
-        violations += bad
-        _write_atomic(os.path.join(out_dir, "subset.csv"), _curve_text(rows))
-    if "capacity-curve" in stages:
-        grid = np.round(np.linspace(0.0, 0.5, 51), 6).tolist()
-        table, rows = _capacity_rows(grid, seed)
-        report["capacity"] = table
-        _write_atomic(os.path.join(out_dir, "capacity.csv"), _curve_text(rows))
+        if csv_name is not None and rows is not None:
+            _write_atomic(os.path.join(run.out_dir, csv_name), _curve_text(rows))
 
     report["violations"] = violations
     report["calibration_required"] = calibration_needed
     exit_code = 3 if violations else (4 if calibration_needed else 0)
     report["exit_code"] = exit_code
-    _write_atomic(os.path.join(out_dir, "report.json"), _json_text(report))
+    _write_atomic(os.path.join(run.out_dir, "report.json"), _json_text(report))
     _print_json(
         {
-            "report": os.path.join(out_dir, "report.json"),
+            "report": os.path.join(run.out_dir, "report.json"),
             "violations": violations,
             "calibration_required": calibration_needed,
             "exit_code": exit_code,
@@ -727,9 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
     def gate(p):
         # no defaults here: _query_config falls back to QueryConfig's
@@ -751,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="run queries from a JSON-lines file")
-    common(q)
+    common(q, seed=False)
     q.add_argument("--store", default=None)
     q.add_argument("--queries", required=True, help="JSONL file of queries, or - for stdin")
     q.add_argument("--naive", action="store_true", help="full-store scan, ignore keys")

@@ -180,11 +180,7 @@ def _attack_record(attack, n_queries, seed, k, p_list, rel, correct_cluster,
     never_band = 3.0 * float(d_i.std(ddof=0)) / math.sqrt(n)
     never_worse_ok = bool(acc_drew >= acc_naive - eps - never_band)
 
-    alpha = float((gt_rank == 1).mean())
-    alpha_p = {int(p): float((gt_rank <= p).mean()) for p in p_list}
-    bound = max(
-        lemma1_bound(alpha_p[p], alpha, k, p) for p in p_list
-    )
+    alpha, alpha_p, terms = _rank_stats(gt_rank, k, p_list)
 
     return AttackRecord(
         name=attack.name,
@@ -209,7 +205,7 @@ def _attack_record(attack, n_queries, seed, k, p_list, rel, correct_cluster,
         fallback_identity=bool(agree.all()),
         alpha=alpha,
         alpha_p=alpha_p,
-        lemma1_bound=float(bound),
+        lemma1_bound=float(max(terms.values())),
     )
 
 
@@ -442,6 +438,15 @@ def lemma1_bound(alpha_p: float, alpha: float, k: int, p: int) -> float:
     return (alpha_p - alpha) * (1.0 - 2.0 ** (-k)) ** (p - 1)
 
 
+def _rank_stats(gt_rank: np.ndarray, k: int, p_list) -> tuple[float, dict, dict]:
+    """``(alpha, alpha_p, terms)`` of 1-based ground-truth ranks: alpha =
+    P(rank = 1), alpha_p[p] = P(rank <= p) and terms[p] =
+    ``lemma1_bound(alpha_p[p], alpha, k, p)`` for each p of ``p_list``."""
+    alpha = float((gt_rank == 1).mean())
+    alpha_p = {int(p): float((gt_rank <= p).mean()) for p in p_list}
+    return alpha, alpha_p, {p: lemma1_bound(alpha_p[p], alpha, k, p) for p in alpha_p}
+
+
 @dataclass(frozen=True)
 class Lemma1Record:
     k: int
@@ -496,9 +501,7 @@ def lemma1_check(
 
     lhs_i = (store.ids[scoped_idx].astype(np.int64) == gt_ids) & (naive_idx != gt_idx)
     top1_i = gt_rank == 1
-    alpha = float(top1_i.mean())
-    alpha_p = {int(p): float((gt_rank <= p).mean()) for p in p_list}
-    terms = {p: lemma1_bound(alpha_p[p], alpha, k, p) for p in p_list}
+    alpha, alpha_p, terms = _rank_stats(gt_rank, k, p_list)
     best_p = max(terms, key=lambda p: (terms[p], -p))
     scale = (1.0 - 2.0 ** (-k)) ** (best_p - 1)
     v = lhs_i.astype(np.float64) - scale * ((gt_rank <= best_p).astype(np.float64) - top1_i)

@@ -557,6 +557,13 @@ def _outward(x: np.ndarray, dtype: np.dtype, toward: float) -> np.ndarray:
     return np.nextafter(x.astype(dtype), toward)
 
 
+def _shortlist_floor(t: np.ndarray, widths: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The shortlist rule of every scan (:func:`_exact_top`, step 2): the
+    least BLAS similarity a row may have and still be rescored, ``t -
+    widths`` (``t - 2*delta``, :func:`_widths`) rounded down in ``dtype``."""
+    return _outward(t - widths, dtype, -np.inf)
+
+
 def _rescore(mat, row, Q, qrow) -> np.ndarray:
     """``_row_sims(mat[row], Q[qrow])`` in gathers of at most ``_CHUNK_BYTES``."""
     gather = max(1, _CHUNK_BYTES // ((mat.itemsize + 16) * mat.shape[1]))
@@ -597,7 +604,8 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     2. Keep every row with ``b >= t - 2*delta``, where ``t`` is the query's
        p-th largest ``b`` and ``delta`` (:func:`_margin`, module
        docstring) bounds ``|b - einsum|``; the threshold is rounded down
-       when cast to ``mat``'s dtype.  A dropped row then has ``einsum <
+       when cast to ``mat``'s dtype (:func:`_shortlist_floor`, the one
+       place this rule is written).  A dropped row then has ``einsum <
        t - delta``, strictly below the einsum of each of the p rows with
        ``b >= t``, so it cannot reach the top p.  Each tile compares
        against the bound ``m <= t`` known so far and keeps the entries at
@@ -670,7 +678,7 @@ def _exact_top(mat: np.ndarray, ids: np.ndarray, queries: np.ndarray, p: int,
     else:  # each query's keep-th largest kept value, the keep-th largest of all
         by = np.lexsort((-val, qrow))
         t = val[by[np.searchsorted(qrow[by], np.arange(B)) + keep - 1]]
-    hit = val >= _outward(t - widths, mat.dtype, -np.inf)[qrow]
+    hit = val >= _shortlist_floor(t, widths, mat.dtype)[qrow]
     ranks = None
     if band is None:
         row, qrow = row[hit], qrow[hit]
@@ -745,7 +753,7 @@ def _tile(mat, Q, widths, bound, band, keep):
             np.maximum(bound, np.maximum.reduce(cmax.reshape(r, -1)), out=bound)
     elif len(b) >= keep:
         np.maximum(bound, np.partition(b, len(b) - keep, axis=0)[len(b) - keep], out=bound)
-    thr = _outward(bound - widths, mat.dtype, -np.inf)
+    thr = _shortlist_floor(bound, widths, mat.dtype)
     floor = thr if band is None else np.minimum(thr, band[0])
     kept = []
     for (wide, r, off), cmax in zip(parts, colmax):
@@ -960,7 +968,7 @@ def _segment_run(mat, ids, order, first, sizes, counts, Q):
         pairs[s : s + c * n].reshape(c, n)[...] = b.T
         q, s = q + c, s + c * n
     t = np.maximum.reduceat(pairs, starts)
-    thr = _outward(t - _widths(Q, mat.dtype), mat.dtype, -np.inf)
+    thr = _shortlist_floor(t, _widths(Q, mat.dtype), mat.dtype)
     at = np.flatnonzero(pairs >= np.repeat(thr, seg))
     del pairs
     qrow = np.searchsorted(starts, at, "right") - 1  # ascending, as ``at`` is
@@ -1099,11 +1107,8 @@ def _hashed_chunks(fh, nbytes: int, step: int, digest, path):
         nbytes -= chunk.nbytes
 
 
-def load_store(path, expect_d: int | None = None) -> Store:
+def load_store(path) -> Store:
     """Load and fully validate a store file written by :func:`save_store`.
-
-    ``expect_d`` pins the embedding dimension the caller was built for;
-    a file with any other dimension is rejected before records are read.
 
     Records are read ``_READ_BYTES`` at a time straight into the final
     arrays while the checksum is hashed incrementally, so the whole file is
@@ -1150,8 +1155,6 @@ def load_store(path, expect_d: int | None = None) -> Store:
         raise StoreFormatError(f"{path}: checksum mismatch, file corrupted")
     if version != FORMAT_VERSION:
         raise StoreFormatError(f"{path}: unsupported version {version}")
-    if expect_d is not None and d != expect_d:
-        raise StoreFormatError(f"{path}: embedding dim {d}, expected {expect_d}")
     if off + blob_len > body:
         raise StoreFormatError(f"{path}: truncated metadata")
     seed, spec = _parse_meta(path, blob)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from drew import ecc
-from drew.cli import CURVE_HEADER, _query_config, build_parser, main
+from drew.cli import _STAGES, CURVE_HEADER, _query_config, build_parser, main
 from drew.pipeline import QueryConfig, preprocess
 from drew.store import export_csv, save_store
 from drew.synthetic import synthetic_store
@@ -318,21 +318,35 @@ def test_query_errors(tmp_path, capsys):
 # eval
 # ---------------------------------------------------------------------------
 
-def test_eval_capacity_stage_only(tmp_path, capsys):
+#: report.json keys every ``drew eval`` run writes, whatever its stages
+_REPORT_KEYS = {"store", "config", "stages", "violations", "calibration_required", "exit_code"}
+
+
+@pytest.mark.parametrize("name", list(_STAGES))
+def test_eval_capacity_stage_only(tmp_path, capsys, name):
+    """``--only <name>`` runs exactly that table entry: its report key is
+    filled, its CSV (if it declares one) is the only one written, and the
+    run exits 0.  The store has the packaged golden's code shape, so the
+    epsilon stage checks it and writes its CSV."""
+    key, csv_name, _ = _STAGES[name]
     store_path = tmp_path / "s.drew"
-    _build_store(store_path, count=80)
+    _build_store(store_path, count=300, d=8, k=10, n=100)
     out_dir = tmp_path / "out"
     code, out, _ = _run(capsys, ["eval", "--store", str(store_path),
-                                 "--out-dir", str(out_dir),
-                                 "--only", "capacity-curve"])
-    assert code == 0
+                                 "--out-dir", str(out_dir), "--only", name,
+                                 "--n-queries", "60", "--n-trials", "2500",
+                                 "--n-in", "40", "--n-out", "40"])
+    assert code == 0, out
     assert json.loads(out)["exit_code"] == 0
-    text = (out_dir / "capacity.csv").read_text()
-    assert text.splitlines()[0] == CURVE_HEADER
     report = json.loads((out_dir / "report.json").read_text())
-    assert "capacity" in report and "accuracy" not in report
-    assert not (out_dir / "accuracy.csv").exists()
-    assert report["capacity"][0]["capacity"] == 1.0
+    assert set(report) == _REPORT_KEYS | {key}
+    assert report[key] and report["stages"] == [name]  # the stage filled its section
+    written = {p.name for p in out_dir.iterdir()}
+    assert written == {"report.json"} | ({csv_name} if csv_name else set())
+    if csv_name:
+        assert (out_dir / csv_name).read_text().splitlines()[0] == CURVE_HEADER
+    if name == "capacity-curve":
+        assert report["capacity"][0]["capacity"] == 1.0
 
 
 def test_eval_small_full_run_deterministic(tmp_path, capsys):

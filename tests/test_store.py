@@ -746,6 +746,38 @@ def test_segmented_pass_rejects_an_empty_cluster():
         route_and_scan(emb, ids, order, offsets, np.array([0, 14]), queries[:2])
 
 
+def test_every_scan_takes_the_shortlist_rule_from_one_function(monkeypatch):
+    """With the ``t - 2*delta`` margin dropped from ``_shortlist_floor``
+    alone, the float32-ulp tie oracle cases fail both for ``scan_top1``
+    (tiled ``_exact_top``) and for the segmented pass of ``route_and_scan``
+    on routed queries: both strategies take the rule from that function."""
+    monkeypatch.setattr(store_mod, "_shortlist_floor", lambda t, widths, dtype: t.astype(dtype))
+    tiled_failed = 0
+    for seed in range(4):
+        store, queries = _ulp_tie_store(seed, np.float32)
+        rows = store.embeddings[substream(seed, "ulp-tie-queries").integers(0, len(store), 14)]
+        try:
+            _assert_scan_top1_exact(store, np.vstack([queries, rows.astype(np.float64)]))
+        except AssertionError:
+            tiled_failed += 1
+    assert tiled_failed > 0
+
+    runs = []
+    real_run = store_mod._segment_run
+    monkeypatch.setattr(store_mod, "_segment_run",
+                        lambda *args: runs.append(len(args[-1])) or real_run(*args))
+    emb, ids, labels, queries, qlabels = _ulp_segments_case(np.float32)
+    order, offsets = csr_index(labels, int(labels.max()) + 1)
+    row, sim, _ = route_and_scan(emb, ids, order, offsets, qlabels, queries)
+    assert runs == [len(qlabels)]  # one segmented run answered every query
+    wrong = 0
+    for j in range(len(qlabels)):
+        ref_ids, ref_sims = _reference_top(emb[labels == qlabels[j]],
+                                           ids[labels == qlabels[j]], queries[j], 1)
+        wrong += (ids[row[j]], _bits(sim[j])) != (ref_ids[0], _bits(ref_sims[0]))
+    assert wrong > 0
+
+
 def _logged_runs(patch, log):
     """Wrap ``_in_threads`` so that every range of rows logs the thread
     that scanned it and its first row, and then yields the CPU for a
@@ -1256,14 +1288,6 @@ def test_load_rejects_bad_records_with_valid_checksum(tmp_path):
         path.write_bytes(_with_checksum(bytearray(raw[:at] + records.tobytes() + raw[-8:])))
         with pytest.raises(StoreFormatError, match=match):
             load_store(path)
-
-
-def test_load_enforces_expected_dimension(tmp_path, small_store):
-    path = tmp_path / "s.drew"
-    save_store(small_store, path)
-    assert load_store(path, expect_d=small_store.d).d == small_store.d
-    with pytest.raises(StoreFormatError, match="dim"):
-        load_store(path, expect_d=small_store.d + 1)
 
 
 def test_partition_invariant(small_store):
