@@ -8,7 +8,11 @@ at a time, through ``ecc.decode`` (the library's per-frame path) and the
 kernel alone (``sc_decode_batch`` on one row), so the wrapper's share
 shows.  Keys, the frames' hard-decision bits, are timed through
 ``ecc.decode_keys``, the decoder the query path and the evaluation use: a
-batch of ``--frames`` keys and single keys.  The rows' passes are
+batch of ``--frames`` keys, single keys, and the shape of ``drew eval``'s
+epsilon Monte Carlo, 60 consecutive calls on 1024 keys each, whose time
+includes hashing its outputs (0.7 MB) and whose digest is printed last
+(equal digests, equal decisions and reliability flags).  Every decode runs on a tree its thread keeps, so the batch rows
+time no tree builds after the warm-up.  The rows' passes are
 interleaved, one pass of each row per round, so that a host whose speed
 drifts over the run slows every row alike rather than whichever row ran
 last.  Also prints how many frames one kernel call decodes at this code:
@@ -17,6 +21,7 @@ the most whose two float64 trees fit the decoder's byte budget.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import time
 
 import numpy as np
@@ -25,15 +30,26 @@ from drew import backends, ecc
 from drew.rng import substream
 
 PASSES = 7
+EPSILON_CALLS, EPSILON_KEYS = 60, 1024  # drew eval's epsilon blocks
 
 
-def _workload(spec, frames: int, p: float):
-    """``frames`` keys flipped at rate ``p``, and their LLR frames."""
-    rng = substream(1234, f"bench/p={p!r}")
+def _keys(spec, frames: int, p: float, stream: str = "bench"):
+    """``frames`` keys flipped at rate ``p``."""
+    rng = substream(1234, f"{stream}/p={p!r}")
     msgs = rng.integers(0, 1 << spec.k, size=frames)
     keys = ecc.encode_all(spec)[msgs]
-    keys = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
-    return keys, ecc.llr_from_keys(spec, keys, spec.design_p)
+    return keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
+
+
+def _epsilon_blocks(spec, keys, gate) -> str:
+    """Decode ``keys`` in consecutive ``EPSILON_KEYS``-key calls, as the
+    epsilon stage does: a digest of the decisions and reliability flags."""
+    h = hashlib.sha256()
+    for lo in range(0, len(keys), EPSILON_KEYS):
+        codes, rel = ecc.decode_keys(spec, keys[lo : lo + EPSILON_KEYS], *gate)
+        h.update(codes.tobytes())
+        h.update(rel.tobytes())
+    return h.hexdigest()[:12]
 
 
 def _spread(times: list[float]) -> tuple[float, float, float]:
@@ -67,7 +83,9 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = ecc.construct_code(args.k, args.n, args.design_p)
-    keys, llrs = _workload(spec, args.frames, args.p)
+    keys = _keys(spec, args.frames, args.p)
+    llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
+    eps_keys = _keys(spec, EPSILON_CALLS * EPSILON_KEYS, args.p, "bench-epsilon")
 
     print(f"spec: k={spec.k} n={spec.n} block_len={spec.block_len} "
           f"design_p={spec.design_p}  frames={args.frames}  p={args.p}")
@@ -77,16 +95,19 @@ def main() -> None:
 
     frozen, m = spec.frozen_mask, spec.m
     gate = (0.5, "last-bit")
+    # (name, frames per pass for a frames/s row or None for a us row, pass)
     rows = (
-        ("LLR batch, ecc.decode_batch (frames/s)", True,
+        ("LLR batch, ecc.decode_batch (frames/s)", args.frames,
          lambda: _batch_pass(lambda f: ecc.decode_batch(spec, f), llrs)),
-        ("key batch, ecc.decode_keys (frames/s)", True,
+        ("key batch, ecc.decode_keys (frames/s)", args.frames,
          lambda: _batch_pass(lambda f: ecc.decode_keys(spec, f, *gate), keys)),
-        ("one LLR frame, ecc.decode (us)", False,
+        (f"{EPSILON_CALLS} x {EPSILON_KEYS} keys, ecc.decode_keys (frames/s)", len(eps_keys),
+         lambda: _batch_pass(lambda f: _epsilon_blocks(spec, f, gate), eps_keys)),
+        ("one LLR frame, ecc.decode (us)", None,
          lambda: _single_pass(lambda f: ecc.decode(spec, f[0]), llrs)),
-        ("one LLR frame, kernel alone (us)", False,
+        ("one LLR frame, kernel alone (us)", None,
          lambda: _single_pass(lambda f: backends.sc_decode_batch(f, frozen, m), llrs)),
-        ("one key, ecc.decode_keys (us)", False,
+        ("one key, ecc.decode_keys (us)", None,
          lambda: _single_pass(lambda f: ecc.decode_keys(spec, f, *gate), keys)),
     )
     for _, _, run in rows:  # warm-up
@@ -96,13 +117,15 @@ def main() -> None:
         for (_, _, run), row_times in zip(rows, times):
             row_times.append(run())
     width = max(len(name) for name, _, _ in rows)
-    for (name, batch, _), row_times in zip(rows, times):
+    for (name, frames, _), row_times in zip(rows, times):
         mid, lo, hi = _spread(row_times)
-        if batch:  # frames per second: the fastest pass is the highest rate
-            text = f"{args.frames / mid:.0f} [{args.frames / hi:.0f}-{args.frames / lo:.0f}]"
+        if frames:  # frames per second: the fastest pass is the highest rate
+            text = f"{frames / mid:.0f} [{frames / hi:.0f}-{frames / lo:.0f}]"
         else:
             text = f"{mid * 1e6:.1f} [{lo * 1e6:.1f}-{hi * 1e6:.1f}]"
         print(f"{name:<{width}s}  {text}")
+    print(f"{EPSILON_CALLS} x {EPSILON_KEYS} keys, output digest: "
+          f"{_epsilon_blocks(spec, eps_keys, gate)}")
 
 
 if __name__ == "__main__":

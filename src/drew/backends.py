@@ -22,19 +22,19 @@ one add, and a combine one multiply.  Every output bit equals the full
 traversal's.
 
 The schedule is bound to preallocated trees as a flat list of numpy
-calls (:class:`_Tree`).  At one frame the kernel's cost is its number of
-numpy calls, not arithmetic, so a single frame keeps one such bound tree
-per thread and code, and pays neither allocation nor view cutting per
-call.  ``benchmarks/bench_backends.py`` times both paths.
+calls (:class:`_Tree`), and every decode runs on a tree its thread keeps
+(:func:`_run`): at one frame the kernel's cost is its number of numpy
+calls, and building a tree costs more than decoding a frame on it.  A
+single frame runs on flat width-1 trees with the plain ``f`` below, a
+batch in chunks of :func:`_chunk_frames` frames, the last one partial, on
+one batch tree.  ``benchmarks/bench_backends.py`` times both.
 
-Batches are decoded in chunks sized by bytes, not frames: a chunk holds as
-many frames as keep its two ``((m+1)*N, B)`` float64 trees (LLRs and
-signs) within ``_CHUNK_BYTES``, and at least one.  At the default code (N
-= 128) that is 256 frames; the chunks of a batch are of equal size and
-share one bound tree.  A batch decodes faster in these cache-sized pieces
-than in the 4096-frame chunks (a 33.5 MB tree) of an earlier version
-(README, "Decoder"), and the rule bounds a chunk's memory for long keys,
-where a fixed frame count let it grow with N log N.
+A chunk holds as many frames as keep its two ``((m+1)*N, B)`` float64
+trees within ``_CHUNK_BYTES``, and at least one: 256 at the default code
+(N = 128).  A batch decodes faster in these cache-sized pieces than in the
+4096-frame chunks (a 33.5 MB tree) of an earlier version (README,
+"Decoder"), and the rule bounds a chunk's memory for long keys, where a
+fixed frame count let it grow with N log N.
 
 The check-node operation is the exact boxplus
 
@@ -86,6 +86,9 @@ import numpy as np
 
 #: Upper bound, in bytes, on one chunk's two float64 trees.
 _CHUNK_BYTES = 4 << 20
+#: Upper bound, in bytes, on the trees one thread keeps: six default-code
+#: batch trees, or the one-frame tree of the longest key (n = 65536, 20 MB).
+_CACHE_BYTES = 32 << 20
 
 
 def _chunk_frames(m: int) -> int:
@@ -248,7 +251,8 @@ class _Tree:
     flat ``((m+1)*N,)`` trees.  Every step reads only rows that an earlier
     step of the same decode wrote, so the trees start undefined and a
     decode leaves nothing behind that the next one reads, except the leaf
-    level's zeros at frozen positions, which no step writes.  Every view a
+    level's zeros at frozen positions, which no step writes, as :meth:`decode`
+    writes every column's input.  ``nbytes`` counts its arrays.  Every view a
     step uses is cut once, here, so running the schedule is one numpy call
     per operation, all with preallocated outputs:
 
@@ -284,19 +288,20 @@ class _Tree:
         block = np.empty(2 * size + 2 * N * width)
         self.llr = block[:size].reshape((-1,) + tail)
         self.llr[m * N:] = 0.0  # decision LLR of the frozen leaves
-        self.leaves = self.llr[m * N:].reshape((N,) + tail)
+        self.leaves = self.llr[m * N:].reshape(N, width)
         sign = block[size : 2 * size].reshape((-1,) + tail)
         # f's scratch: a contiguous (2, h) + tail block per step (numpy
         # 2.4's negative misreads strided float64 input)
         t, e = block[2 * size : 2 * size + N * width], block[2 * size + N * width :]
         below = np.empty((1,) + tail, dtype=bool)
+        self.nbytes = block.nbytes + below.nbytes
         llr = self.llr
         calls = []
-        self.head, levels = llr, 0  # frames are written to head[:n]
+        head, levels = llr, 0  # frames are written to head[:n]
         if keys is not None:
             values, n = np.frombuffer(keys[0]), keys[1]
             levels = min(m, 2)
-            sym = self.head = np.zeros((max(levels, 1) * N,) + tail, dtype=np.uint8)
+            sym = head = np.zeros((max(levels, 1) * N,) + tail, dtype=np.uint8)
             sym[n:N] = 2
             if not levels:  # m == 0: the one leaf reads its LLR off level 0
                 calls.append((values.take, (sym, None, llr[:N], "clip")))
@@ -306,6 +311,7 @@ class _Tree:
             # symbol or as an index, and the index
             bit, offset8 = np.empty(half, dtype=bool), np.empty(half, dtype=np.uint8)
             offset, index = np.empty(half, dtype=np.intp), np.empty(half, dtype=np.intp)
+            self.nbytes += sum(a.nbytes for a in (sym, bit, offset8, offset, index))
 
         def symbol_step(op, lo, hi, c_lo, c_hi):
             """Calls of a step that reads symbols: its table index, kept as
@@ -363,53 +369,45 @@ class _Tree:
                 calls += [(np.less, (llr[lo], _ZERO, below)),
                           (_SIGNS.take, (below, None, sign[lo], "clip"))]
         self.calls = calls
+        self.head = head.reshape(-1, width)  # a flat tree's head as one column
 
     def decode(self, frames: np.ndarray, u: np.ndarray, dec: np.ndarray, rows=slice(None)) -> None:
         """Decode ``frames`` (at most ``width`` rows of LLR frames, or of keys
         for a key tree) into ``u`` and ``dec``, the decisions and decision
-        LLRs of the leaves ``rows``; columns past ``frames``' rows compute
-        unread values."""
+        LLRs of the leaves ``rows``.  Columns past ``frames``' rows decode
+        its first frame again, not an earlier call's input."""
         B, n = frames.shape
-        if self.head.ndim == 1:
-            self.head[:n] = frames[0]
-        else:
-            self.head[:n, :B] = frames.T
+        self.head[:n, :B] = frames.T
+        self.head[:n, B:] = frames[:1].T
         for fn, args in self.calls:
             fn(*args)
-        leaves = self.leaves[rows]
-        np.copyto(dec, leaves if leaves.ndim == 1 else leaves[:, :B].T)
+        np.copyto(dec, self.leaves[rows, :B].T)
         # a leaf decides L < 0.0; frozen positions keep dec == 0, hence u == 0
         np.less(dec, _ZERO, out=u)
 
 
-# One-frame trees, kept per thread (a tree is working memory, so threads
-# must not share one): a lookup decodes one frame per call, and cutting a
-# tree's views costs more than running its schedule.
-_local = threading.local()
-
-
-def _one_frame_tree(frozen_bytes: bytes, m: int, keys) -> _Tree:
-    trees = _local.__dict__
-    tree = trees.get((frozen_bytes, m, keys))
-    if tree is None:
-        if len(trees) >= 64:
-            trees.clear()
-        tree = trees[frozen_bytes, m, keys] = _Tree(_schedule(frozen_bytes, m), m, 1, keys)
-    return tree
+_local = threading.local()  # a tree is working memory: threads must not share one
 
 
 def _run(frames, frozen: np.ndarray, m: int, u, dec, keys=None, rows=slice(None)) -> None:
-    """Decode ``frames`` into ``u`` and ``dec``: a single frame on the
-    thread's bound tree, a batch in equal chunks of at most
-    :func:`_chunk_frames` frames on one tree."""
+    """Decode ``frames`` into ``u`` and ``dec`` in chunks of ``width``
+    frames, 1 for a single frame, else :func:`_chunk_frames`, on the tree
+    the calling thread keeps for the code, width and key values.  A new tree
+    that would take the thread's trees past ``_CACHE_BYTES`` clears them
+    first, and is not kept if it alone would."""
     B = frames.shape[0]
-    if B == 1:
-        _one_frame_tree(frozen.tobytes(), m, keys).decode(frames, u, dec, rows)
-    elif B:
-        width = -(-B // -(-B // _chunk_frames(m)))
-        tree = _Tree(_schedule(frozen.tobytes(), m), m, width, keys)
-        for lo in range(0, B, width):
-            tree.decode(frames[lo : lo + width], u[lo : lo + width], dec[lo : lo + width], rows)
+    width = 1 if B == 1 else _chunk_frames(m)
+    key = (frozen.tobytes(), m, width, keys)
+    trees = _local.__dict__
+    tree = trees.get(key)
+    if tree is None:
+        tree = _Tree(_schedule(key[0], m), m, width, keys)
+        if sum(t.nbytes for t in trees.values()) + tree.nbytes > _CACHE_BYTES:
+            trees.clear()
+        if tree.nbytes <= _CACHE_BYTES:
+            trees[key] = tree
+    for lo in range(0, B, width):
+        tree.decode(frames[lo : lo + width], u[lo : lo + width], dec[lo : lo + width], rows)
 
 
 def _frozen_mask(frozen_mask, N: int) -> np.ndarray:
@@ -440,10 +438,10 @@ def sc_decode_batch(chan_llrs: np.ndarray, frozen_mask: np.ndarray, m: int):
         positions are defined: the kernel never computes the LLRs of
         frozen leaves (they decide nothing) and leaves them 0.
 
-    Frames are decoded in equal chunks of at most :func:`_chunk_frames`
-    rows, the most whose two float64 trees fit ``_CHUNK_BYTES`` (256 at
-    the default code); chunking changes no output bit, since every op is
-    per frame.  A single frame runs on a bound tree kept per thread.
+    A batch is decoded in chunks of :func:`_chunk_frames` rows, the most
+    whose two float64 trees fit ``_CHUNK_BYTES`` (256 at the default code),
+    on a tree kept per thread, and a single frame on a flat one; chunking
+    changes no output bit, since every op is per frame.
     """
     chan = np.ascontiguousarray(chan_llrs, dtype=np.float64)
     if chan.ndim != 2:

@@ -567,7 +567,7 @@ def cmd_eval(args) -> int:
     run.suite = load_suite(suite_path) if suite_path is not None else default_suite()
     run.in_dataset = [a for a in run.suite if not a.out_of_dataset]
 
-    stages = list(_STAGES) if not args.only else args.only.split(",")
+    stages = list(_STAGES) if args.only is None else args.only.split(",")
     for stage in stages:
         if stage not in _STAGES:
             raise UsageError(f"unknown stage {stage!r}; expected one of {', '.join(_STAGES)}")

@@ -251,11 +251,12 @@ def run_accuracy_eval(
         raise ValueError("evaluation needs a preprocessed store")
     if n_queries < 1:
         raise ValueError("n_queries must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
 
     def batch(group):
         return _suite_records(store, group, cfg, n_queries, seed, p_list)
 
-    workers = max(1, workers)
     count = max(workers, -(-len(attacks) * n_queries // _BATCH_QUERIES))
     cuts = [len(attacks) * i // count for i in range(count + 1)]
     groups = [attacks[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -163,32 +164,131 @@ def test_random_frozen_masks_equal_textbook_sc():
     assert known >= 5, known
 
 
+def _on_new_thread(fn):
+    """``fn()`` run on a thread that has decoded nothing yet: its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
 def test_single_frames_decode_alike_from_many_threads(default_spec):
-    """Each thread decodes single frames on its own bound tree: threads
-    switching every microsecond mid-decode get the batch's answers."""
-    llrs = _noisy_llrs(default_spec, 0.2, 64, seed=51)
-    want_u, want_dec = sc_decode_batch(llrs, default_spec.frozen_mask, default_spec.m)
+    """Each thread decodes on its own trees: threads switching every
+    microsecond mid-decode get the serial answers, for single frames and
+    for batches of 2, 37, 300 and 1024 frames, LLR frames and keys alike."""
+    spec = default_spec
+    rng = substream(51, "threads")
+    keys = ecc.encode_all(spec)[rng.integers(0, 1 << spec.k, size=1024)]
+    keys ^= rng.random(keys.shape) < 0.2
+    llrs = ecc.llr_from_keys(spec, keys, spec.design_p)
+    key_llrs = ecc._bit_llrs(spec.design_p)
+
+    def decode_llrs(lo, hi):
+        return sc_decode_batch(llrs[lo:hi], spec.frozen_mask, spec.m)
+
+    def decode_keys(lo, hi):
+        return backends.sc_decode_keys(keys[lo:hi], key_llrs, spec.frozen_mask, spec.m)
+
+    spans = [(j, j + 1) for j in range(64)] + [(5, 7), (100, 137), (11, 311), (0, 1024)]
+    jobs = [(decode, lo, hi) for lo, hi in spans for decode in (decode_llrs, decode_keys)]
+    want = [decode(lo, hi) for decode, lo, hi in jobs]
     wrong = []
 
     def work(offset):
-        for i in range(3 * len(llrs)):
-            j = (i + offset) % len(llrs)
-            u, dec = sc_decode_batch(llrs[j : j + 1], default_spec.frozen_mask, default_spec.m)
-            if not (np.array_equal(u[0], want_u[j]) and np.array_equal(dec[0], want_dec[j])):
+        for i in range(2 * len(jobs)):
+            j = (i + offset) % len(jobs)
+            decode, lo, hi = jobs[j]
+            u, dec = decode(lo, hi)
+            if not (np.array_equal(u, want[j][0])
+                    and np.array_equal(dec.view(np.uint64), want[j][1].view(np.uint64))):
                 wrong.append(j)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k * 16,)) for k in range(4)]
+        threads = [threading.Thread(target=work, args=(k * 33,)) for k in range(4)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=60)
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_consecutive_key_batches_build_one_tree(default_spec, monkeypatch):
+    """The epsilon Monte Carlo's shape, 60 consecutive 1024-key decode_keys
+    calls, builds one tree on its thread, where a tree per call took 60."""
+    built = []
+    init = backends._Tree.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[2])  # the width
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(backends._Tree, "__init__", counted)
+    rng = substream(71, "tree-count")
+    keys = ecc.encode_all(default_spec)[rng.integers(0, 1 << default_spec.k, size=1024)]
+
+    def trials():
+        for _ in range(60):
+            ecc.decode_keys(default_spec, keys ^ (rng.random(keys.shape) < 0.1), 0.5, "last-bit")
+
+    _on_new_thread(trials)
+    assert built == [backends._chunk_frames(default_spec.m)]
+
+
+def test_kept_trees_stay_within_the_byte_bound():
+    """Batches of many sizes, LLR frames and keys, on codes from N = 2 to N
+    = 2**17, never leave a thread more tree bytes than _CACHE_BYTES; the
+    count covers at least each tree's two float64 trees."""
+    codes = [ecc.construct_code(k, n, 0.1) for k, n in ((10, 100), (2, 2), (10, 1024), (5, 33))]
+    cases = [(spec.frozen_mask, spec.m, ecc._bit_llrs(spec.design_p)) for spec in codes]
+    big = np.ones(1 << 17, dtype=np.uint8)  # a one-frame tree past the bound: not kept
+    big[-3:] = 0
+    cases.append((big, 17, None))
+    rng = substream(72, "tree-bytes")
+    held = []
+
+    def decode_all():
+        for frozen, m, key_llrs in cases:
+            for size in (1, 2, 37, 300, 1024) if key_llrs is not None else (1,):
+                frames = rng.standard_normal((size, 1 << m))
+                sc_decode_batch(frames, frozen, m)
+                if key_llrs is not None:
+                    keys = (frames < 0.0).astype(np.uint8)
+                    backends.sc_decode_keys(keys, key_llrs, frozen, m)
+                trees = backends._local.__dict__.values()
+                for tree in trees:
+                    assert tree.nbytes >= 2 * tree.llr.nbytes
+                held.append(sum(tree.nbytes for tree in trees))
+
+    _on_new_thread(decode_all)
+    assert max(held) <= backends._CACHE_BYTES
+    assert held[-1] == 0  # the big tree cleared the others and was not kept
+
+
+def test_spare_columns_hold_no_earlier_input(default_spec):
+    """A partial chunk's spare columns decode its first frame again, not
+    what an earlier call left there: after a chunk of infinite LLRs, a
+    3-frame batch on the same thread raises no RuntimeWarning and gives the
+    bits of a thread that has decoded nothing."""
+    spec = default_spec
+    width = backends._chunk_frames(spec.m)
+    signs = substream(81, "infinite").random((width, spec.block_len)) < 0.5
+    infinite = np.where(signs, np.inf, -np.inf)
+    frames = _noisy_llrs(spec, 0.2, 3, seed=82)
+    want_u, want_dec = _on_new_thread(lambda: sc_decode_batch(frames, spec.frozen_mask, spec.m))
+    with np.errstate(all="ignore"):
+        sc_decode_batch(infinite, spec.frozen_mask, spec.m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, dec = sc_decode_batch(frames, spec.frozen_mask, spec.m)
+    assert np.array_equal(u, want_u)
+    assert np.array_equal(dec.view(np.uint64), want_dec.view(np.uint64))
 
 
 def _raw_llrs(spec, frames, seed):
@@ -275,6 +375,7 @@ def test_decode_memory_stays_within_chunk_budget():
     assert backends._chunk_frames(spec.m) < frames
     llrs = substream(31, "long-code").standard_normal((frames, spec.block_len)) * 4.0
     sc_decode_batch(llrs[:2], spec.frozen_mask, spec.m)  # compile the schedule
+    backends._local.__dict__.clear()  # and count the tree's build
     outputs = frames * spec.block_len * (1 + 8)  # u (uint8) and dec (float64)
     tracemalloc.start()
     try:

@@ -475,6 +475,12 @@ def test_eval_usage_errors(tmp_path, capsys):
     assert code == 1
     assert "nonsense" in json.loads(err)["message"]
 
+    # an empty list names the empty stage, as "accuracy," does
+    code, _, err = _run(capsys, ["eval", "--store", str(store_path), "--only", "",
+                                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "unknown stage ''" in json.loads(err)["message"]
+
     code, _, err = _run(capsys, ["eval", "--store", str(store_path),
                                  "--only", "roc", "--roc-attack", "ghost"])
     assert code == 1
@@ -506,6 +512,19 @@ def test_eval_rejects_non_positive_trials(tmp_path, capsys, trials):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "DataError" and doc["message"] == "n_trials must be positive"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_eval_rejects_non_positive_workers(tmp_path, capsys, workers):
+    """``--workers 0`` is rejected like any count below one, rather than
+    run as one worker."""
+    store_path = tmp_path / "s.drew"
+    _build_store(store_path, count=60)
+    code, out, err = _run(capsys, ["eval", "--store", str(store_path), "--only", "accuracy",
+                                   "--workers", workers, "--out-dir", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "DataError" and doc["message"] == "workers must be positive"
 
 
 # ---------------------------------------------------------------------------
