@@ -15,7 +15,8 @@ pass, and print the median [min-max] in milliseconds:
 - json.loads: every line, alone (the parse no reader can avoid);
 - front end: ``_read_queries`` (parse, per-line checks, stack/normalise);
 - per-line checks: front end minus json.loads minus stack/normalise;
-- stack/normalise: stacking the parsed rows and one division by their norms;
+- stack/normalise: stacking the parsed rows, their norms (``vector_norms``)
+  and one division by them;
 - batch_query: decode, route and scan;
 - serialise: the answer lines and their join.
 
@@ -44,7 +45,7 @@ import numpy as np
 from drew.cli import _answer_lines, _read_queries
 from drew.pipeline import QueryConfig, batch_query, preprocess
 from drew.rng import substream
-from drew.store import load_store, save_store
+from drew.store import load_store, save_store, vector_norms
 from drew.synthetic import synthetic_store
 
 GATE = ["--reliability-mode", "last-bit", "--reliability-threshold", "0.5", "--tau-r", "-1"]
@@ -89,11 +90,10 @@ def _stage_pass(store, query_path, cfg, times):
     lines = timed("read", read)
     timed("json.loads", loads)
     rows = [np.asarray(json.loads(line)["embedding"], dtype=np.float64) for line in lines]
-    norms = np.array([np.sqrt(r.dot(r)) for r in rows])
 
     def normalise():
         embs = np.stack(rows)
-        embs /= norms[:, None]
+        embs /= vector_norms(embs)[:, None]
         return embs
 
     timed("stack/normalise", normalise)

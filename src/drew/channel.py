@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .rng import substream
+from .store import vector_norms
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def attack_rows(
         keys ^= (streams.key.random(keys.shape) < attack.p_a).astype(np.uint8)
     if attack.sigma > 0.0:
         embs += attack.sigma * streams.embedding.standard_normal(embs.shape)
-        embs /= np.sqrt(np.einsum("nd,nd->n", embs, embs))[:, None]
+        embs /= vector_norms(embs)[:, None]
     return keys, embs
 
 

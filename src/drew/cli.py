@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from importlib import resources
@@ -25,7 +26,7 @@ import numpy as np
 from . import ecc
 from .channel import AttackConfig, default_suite, load_suite
 from .pipeline import QueryConfig, batch_query, preprocess
-from .store import StoreFormatError, ingest_csv, load_store, save_store
+from .store import StoreFormatError, ingest_csv, load_store, save_store, vector_norms
 from .synthetic import synthetic_store
 
 CURVE_HEADER = "attack,p_A,sigma,metric,value,stderr,seed"
@@ -178,6 +179,11 @@ def _parse_synthetic(tokens, config) -> tuple[int, int]:
             raise UsageError(f"--synthetic expects key=value tokens, got {tok!r}")
         key, _, val = tok.partition("=")
         params[key.strip()] = val.strip()
+    for key, val in params.items():
+        if key not in ("N", "count", "d"):
+            raise UsageError(f"unknown synthetic key {key!r}; expected N, count or d")
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", str(val)):  # not 1e3, 2.0 or true
+            raise UsageError(f"synthetic {key} must be an integer, got {val!r}")
     count = int(params.get("N", params.get("count", 20000)))
     d = int(params.get("d", 64))
     if count < 1 or d < 1:
@@ -274,78 +280,75 @@ def _read_queries(lines, d: int, n: int, naive: bool):
     error record, with the line's index as ``query_id`` when its own id is
     unusable.  Returns ``(slots, qids, gts, keys, embs)``: per non-blank
     line, its error line or None, then the good lines' ids, ground truths,
-    (B, n) uint8 keys (None if ``naive``) and (B, d) unit embeddings.  Each
-    embedding is divided by its norm ``sqrt(e . e)``, which is
-    ``np.linalg.norm(e)`` of a 1-D float64 vector.
+    (B, n) uint8 keys (None if ``naive``) and (B, d) unit embeddings.
+    After the loop, one :func:`drew.store.vector_norms` call norms every
+    embedding of dimension d, each to the bits it gets alone; a zero or
+    non-finite norm makes its line's error record, whatever its key.
     """
     slots: list[str | None] = []
-    qids, gts, embs, norms = [], [], [], []
-    str_keys, str_at, list_keys, list_at = [], [], [], []
-    # a huge entry overflows e . e to inf, which the norm check turns into
-    # the line's error record; numpy must not also warn on stderr
-    with np.errstate(over="ignore"):
-        for i, line in enumerate(lines):
-            qid = i
-            try:
-                line = line.rstrip("\r\n")
-                if not line.strip():
-                    continue
-                doc = json.loads(line)
-                if type(doc) is not dict:
-                    raise ValueError("query line must be a JSON object")
-                value = doc.get("query_id", i)
-                _check_id("query_id", value)
-                qid = value
-                gt = doc.get("ground_truth_id")
-                _check_id("ground_truth_id", gt)
-                try:
-                    emb = np.asarray(doc["embedding"], dtype=np.float64)
-                except (TypeError, OverflowError):
-                    raise ValueError(f"embedding must be {d} finite numbers") from None
-                if emb.shape != (d,):
-                    raise ValueError(f"embedding must have dim {d}")
-                norm = math.sqrt(emb.dot(emb))
-                if not math.isfinite(norm) or norm == 0.0:
-                    raise ValueError("embedding must be finite and nonzero")
-                if not naive:
-                    if "key" not in doc:
-                        raise ValueError("drew queries need a 'key' field (or use --naive)")
-                    key = doc["key"]
-                    if type(key) is str:
-                        # n characters, each 0 or 1 (as key.strip("01") == "", but faster)
-                        if len(key) != n or key.count("0") + key.count("1") != n:
-                            raise ValueError(f"key must be {n} characters of 0/1")
-                        str_at.append(len(embs))
-                        str_keys.append(key)
-                    # exact 0/1 integers only: 0.7 or true must not pass as a bit
-                    elif (type(key) is not list or len(key) != n
-                            or any(type(b) is not int or b not in (0, 1) for b in key)):
-                        raise ValueError(f"key must be {n} bits")
-                    else:
-                        list_at.append(len(embs))
-                        list_keys.append(key)
-            except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
-                slots.append(json.dumps({"query_id": qid, "error": str(exc)}, sort_keys=True))
+    at, qids, gts, embs = [], [], [], []  # per embedding of dim d: its slot, id, gt, row
+    key_at, key_text = [], []  # stack row and 0/1 text of each good key
+    for i, line in enumerate(lines):
+        qid = i
+        try:
+            line = line.rstrip("\r\n")
+            if not line.strip():
                 continue
-            slots.append(None)
+            doc = json.loads(line)
+            if type(doc) is not dict:
+                raise ValueError("query line must be a JSON object")
+            value = doc.get("query_id", i)
+            _check_id("query_id", value)
+            qid = value
+            gt = doc.get("ground_truth_id")
+            _check_id("ground_truth_id", gt)
+            try:
+                emb = np.asarray(doc["embedding"], dtype=np.float64)
+            except (TypeError, OverflowError):
+                raise ValueError(f"embedding must be {d} finite numbers") from None
+            if emb.shape != (d,):
+                raise ValueError(f"embedding must have dim {d}")
+            at.append(len(slots))
             qids.append(qid)
             gts.append(gt)
             embs.append(emb)
-            norms.append(norm)
+            if not naive:
+                if "key" not in doc:
+                    raise ValueError("drew queries need a 'key' field (or use --naive)")
+                key = doc["key"]
+                if type(key) is str:
+                    # n characters, each 0 or 1 (as key.strip("01") == "", but faster)
+                    if len(key) != n or key.count("0") + key.count("1") != n:
+                        raise ValueError(f"key must be {n} characters of 0/1")
+                # exact 0/1 integers only: 0.7 or true must not pass as a bit
+                elif (type(key) is not list or len(key) != n
+                        or any(type(b) is not int or b not in (0, 1) for b in key)):
+                    raise ValueError(f"key must be {n} bits")
+                else:
+                    key = "".join(map(str, key))
+                key_at.append(len(embs) - 1)
+                key_text.append(key)
+        except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: nested too deep
+            slots.append(json.dumps({"query_id": qid, "error": str(exc)}, sort_keys=True))
+            continue
+        slots.append(None)
 
-    count = len(embs)
-    embs = np.stack(embs) if count else np.empty((0, d))
-    # one division per element, as emb / norm row by row
-    embs /= np.array(norms)[:, None]
+    embs = np.stack(embs) if embs else np.empty((0, d))
+    # a huge entry overflows e . e to inf (an error record); numpy must not warn on stderr
+    with np.errstate(over="ignore"):
+        norms = vector_norms(embs)
+    for j in np.flatnonzero(~((norms > 0.0) & (norms < np.inf))).tolist():  # 0, inf or NaN
+        slots[at[j]] = json.dumps(
+            {"query_id": qids[j], "error": "embedding must be finite and nonzero"}, sort_keys=True)
+    good = [j for j, slot in enumerate(at) if slots[slot] is None]
     keys = None
     if not naive:
-        keys = np.empty((count, n), dtype=np.uint8)
-        if str_keys:
-            chars = np.frombuffer("".join(str_keys).encode("ascii"), dtype=np.uint8)
-            keys[str_at] = chars.reshape(-1, n) - ord("0")
-        if list_keys:
-            keys[list_at] = np.array(list_keys, dtype=np.uint8)
-    return slots, qids, gts, keys, embs
+        keys = np.empty((len(embs), n), dtype=np.uint8)
+        chars = np.frombuffer("".join(key_text).encode("ascii"), dtype=np.uint8)
+        keys[key_at] = chars.reshape(-1, n) - ord("0")
+        keys = keys[good]
+    return (slots, [qids[j] for j in good], [gts[j] for j in good], keys,
+            embs[good] / norms[good, None])
 
 
 def _answer_lines(slots, results, qids, gts) -> list[str]:
@@ -484,9 +487,10 @@ def _stage_lemma1(store, run):
 def _stage_roc(store, run):
     from . import evaluation
 
-    by_name = {a.name: a for a in run.suite}
+    by_name = {a.name: a for a in run.in_dataset}  # roc's positives are in-dataset queries
     if run.roc_attack not in by_name:
-        raise UsageError(f"--roc-attack {run.roc_attack!r} is not in the suite")
+        raise UsageError(f"--roc-attack {run.roc_attack!r} is not an in-dataset attack "
+                         "of the suite")
     attack = by_name[run.roc_attack]
     rec = evaluation.roc_eval(store, attack, run.n_in, run.n_out, run.seed, run.cfg)
     curve = [

@@ -25,7 +25,7 @@ from . import ecc
 from .channel import AttackConfig, AttackStreams, attack_rows
 from .pipeline import NO_MATCH, QueryConfig, batch_query, decode_scopes
 from .rng import substream
-from .store import Store, csr_index, route_and_scan, scan_ranks
+from .store import Store, csr_index, route_and_scan, scan_ranks, vector_norms
 from .store import scan_top1  # noqa: F401  kept as a traced name; see perfbench/spans.py
 from .synthetic import heldout_pool
 
@@ -68,13 +68,13 @@ def _attack_queries(store: Store, attack: AttackConfig, n_queries: int, seed: in
 
 def _keyless_queries(pool: np.ndarray, count: int, n: int, rng: np.random.Generator):
     """``count`` queries that carry no watermark: each draws a ``pool`` row,
-    normalised, then a uniform random n-bit key, one query after another."""
+    then a uniform random n-bit key, in turn; the rows are normalised last."""
     keys = np.empty((count, n), dtype=np.uint8)
     embs = np.empty((count, pool.shape[1]))
     for i in range(count):
-        emb = np.asarray(pool[int(rng.integers(len(pool)))], dtype=np.float64)
-        embs[i] = emb / np.linalg.norm(emb)
+        embs[i] = pool[int(rng.integers(len(pool)))]
         keys[i] = rng.integers(0, 2, size=n)
+    embs /= vector_norms(embs)[:, None]
     return keys, embs
 
 
@@ -249,6 +249,8 @@ def run_accuracy_eval(
     """
     if not store.clustered:
         raise ValueError("evaluation needs a preprocessed store")
+    if not attacks:  # an empty suite would pass every check unmeasured
+        raise ValueError("accuracy evaluation needs at least one in-dataset attack")
     if n_queries < 1:
         raise ValueError("n_queries must be positive")
     if workers < 1:
@@ -402,30 +404,15 @@ def check_epsilon_goldens(
             reliability_mode=str(golden["reliability_mode"]),
         )
     n_run = int(golden["n_trials"] if n_trials is None else n_trials)
+    values = [float(point["value"]) for point in golden["points"]]
+    estimates = epsilon_sweep(store, [point["p_A"] for point in golden["points"]], n_run, seed,
+                              cfg)
     rows = []
-    all_ok = True
-    for point in golden["points"]:
-        est = estimate_epsilon_r(
-            store,
-            AttackConfig(name=f"flip_{float(point['p_A'])!r}", p_a=float(point["p_A"]), sigma=0.0),
-            n_run,
-            seed,
-            cfg,
-        )
-        band = epsilon_band(float(point["value"]), int(golden["n_trials"]), n_run)
-        ok = abs(est.value - float(point["value"])) <= band
-        all_ok &= ok
-        rows.append(
-            {
-                "p_A": est.p_a,
-                "golden": float(point["value"]),
-                "estimate": est.value,
-                "band": band,
-                "n_reliable": est.n_reliable,
-                "ok": ok,
-            }
-        )
-    return all_ok, rows
+    for value, est in zip(values, estimates):
+        band = epsilon_band(value, int(golden["n_trials"]), n_run)
+        rows.append({"p_A": est.p_a, "golden": value, "estimate": est.value, "band": band,
+                     "n_reliable": est.n_reliable, "ok": abs(est.value - value) <= band})
+    return all(row["ok"] for row in rows), rows
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +562,15 @@ def roc_eval(
     n_out: int,
     seed: int,
     cfg: QueryConfig = QueryConfig(),
-    pool: np.ndarray | None = None,
 ) -> RocRecord:
     """Paired AUROC / TPR@FPR=0.1 for drew and naive best-similarity scores.
 
     Positives are attacked in-dataset queries; negatives draw a held-out
     embedding and a uniform random key (no watermark).
     """
-    if pool is None:
-        pool = heldout_pool(max(n_out, 1), store.d, seed)
+    if min(n_in, n_out) < 1:
+        raise ValueError(f"{'n_in' if n_in < 1 else 'n_out'} must be positive")
+    pool = heldout_pool(n_out, store.d, seed)
     keys_in, embs_in, _ = _attack_queries(store, attack, n_in, seed)
     rng = AttackStreams.for_attack(seed, f"{attack.name}/ood").out_of_dataset
     keys_out, embs_out = _keyless_queries(pool, n_out, store.spec.n, rng)

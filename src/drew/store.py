@@ -17,7 +17,9 @@ for batches of routed queries (:func:`_segment_run`): a BLAS product in
 the rows' dtype picks candidates, and only candidates are rescored with the
 fixed-order float64 einsum of ``_row_sims`` (rows cast up exactly), which
 alone produces the similarities that are returned ("compute in low
-precision, verify in high precision").  A row is a candidate when its BLAS
+precision, verify in high precision").  That product is drew's only BLAS
+call, and every query norm is :func:`vector_norms`, so no output depends on
+the BLAS kernel.  A row is a candidate when its BLAS
 similarity lies within ``2*delta`` of the query's p-th largest one, with
 
     delta = (gamma_{d+1}(1 + u) + u + gamma64_{d+1}) * (1 + _NORM_TOL) * |q|
@@ -96,7 +98,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import struct
 import tempfile
@@ -378,9 +379,8 @@ def _check_query_vector(store: Store, q: np.ndarray) -> np.ndarray:
     vec = np.asarray(q, dtype=np.float64)
     if vec.shape != (store.d,):
         raise ValueError(f"query dim {vec.shape} does not match store dim ({store.d},)")
-    # sqrt(v.v) is np.linalg.norm of a 1-D vector; it is NaN or inf, and
-    # fails the test, whenever an entry is not finite
-    if not abs(math.sqrt(vec.dot(vec)) - 1.0) <= _NORM_TOL:
+    # the norm is NaN or inf, and fails the test, whenever an entry is not finite
+    if not abs(vector_norms(vec) - 1.0) <= _NORM_TOL:
         if not np.isfinite(vec).all():
             raise ValueError("query embedding must be finite")
         raise ValueError("query embedding must be unit norm within 1e-6")
@@ -436,6 +436,14 @@ def _row_sims(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
         np.ascontiguousarray(mat, dtype=np.float64),
         np.ascontiguousarray(vec, dtype=np.float64),
     )
+
+
+def vector_norms(v: np.ndarray) -> np.ndarray:
+    """Float64 norms along the last axis of ``v``, by the fixed-order einsum
+    of :func:`_row_sims`: a vector gets the same bits alone or in a stack,
+    on any BLAS kernel (a 1-D ``np.linalg.norm`` is BLAS ``ddot``)."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return np.sqrt(np.einsum("...d,...d->...", v, v))
 
 
 #: Upper bound, in bytes, on one rescore gather, on one run of the
@@ -499,7 +507,7 @@ def _widths(queries: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """``2 * delta`` (:func:`_margin`) of every row of a float64 ``queries``
     matrix, for rows of ``dtype``; raises unless every query norm is finite
     and below that dtype's ``qmax``."""
-    qnorms = np.sqrt(np.einsum("bd,bd->b", queries, queries))
+    qnorms = vector_norms(queries)
     coef, floor, qmax = _margin(dtype, queries.shape[1])
     if not np.maximum.reduce(qnorms, initial=0.0) < qmax:  # also false on NaN
         raise ValueError("query embeddings must be finite (and of norm below "

@@ -12,7 +12,7 @@ import pytest
 from drew import ecc
 from drew.cli import _STAGES, CURVE_HEADER, _query_config, build_parser, main
 from drew.pipeline import QueryConfig, preprocess
-from drew.store import export_csv, save_store
+from drew.store import export_csv, load_store, save_store
 from drew.synthetic import synthetic_store
 
 
@@ -127,7 +127,43 @@ def test_build_usage_and_data_errors(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
     code, _, err = _run(capsys, base + ["--synthetic", "N=zero"])
-    assert code == 2
+    assert code == 1
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("tokens,message", [
+    (["N=300", "dim=8"], "unknown synthetic key 'dim'; expected N, count or d"),
+    (["N=300", "x=1"], "unknown synthetic key 'x'; expected N, count or d"),
+    (["N=abc"], "synthetic N must be an integer, got 'abc'"),
+    (["N=1e3"], "synthetic N must be an integer, got '1e3'"),
+    (["N=300", "d=8.0"], "synthetic d must be an integer, got '8.0'"),
+])
+def test_build_rejects_unread_or_non_integer_synthetic_keys(tmp_path, capsys, tokens, message):
+    """A key the build does not read, or a value int() cannot read, is a
+    usage error that names the key, not a store of the default shape or
+    int()'s own message."""
+    path = tmp_path / "x.drew"
+    code, out, err = _run(capsys, ["build", "--synthetic", *tokens, "--store", str(path)])
+    assert code == 1 and out == "" and not path.exists()
+    assert json.loads(err) == {"error": "UsageError", "message": message, "exit_code": 1}
+
+
+def test_build_synthetic_keys_from_config_are_checked_too(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for synthetic, message in (({"N": 90.0}, "synthetic N must be an integer, got 90.0"),
+                               ({"N": 90, "dims": 8}, "unknown synthetic key 'dims'; "
+                                                      "expected N, count or d")):
+        cfg.write_text(json.dumps({"synthetic": synthetic}))
+        code, _, err = _run(capsys, ["build", "--config", str(cfg),
+                                     "--store", str(tmp_path / "s.drew")])
+        assert code == 1 and json.loads(err)["message"] == message
+    # the spellings the benchmark and the README use still build
+    for tokens, shape in ((["N=90", "d=8"], (90, 8)), (["count=70", "d=4"], (70, 4)),
+                          (["count=70", "N= 60 "], (60, 64))):
+        code, out, _ = _run(capsys, ["build", "--synthetic", *tokens, "--k", "3", "--n", "8",
+                                     "--store", str(tmp_path / "s.drew")])
+        assert code == 0
+        assert (json.loads(out)["count"], load_store(tmp_path / "s.drew").d) == shape
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +548,51 @@ def test_eval_rejects_non_positive_trials(tmp_path, capsys, trials):
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "DataError" and doc["message"] == "n_trials must be positive"
+
+
+def test_eval_roc_rejects_an_out_of_dataset_attack(tmp_path, capsys):
+    """roc's positives are in-dataset queries: naming an out-of-dataset
+    attack is roc's own usage error, not the accuracy stage's message."""
+    store_path = tmp_path / "s.drew"
+    _build_store(store_path, count=60)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"name": "in", "p_A": 0.1, "sigma": 0.1},
+                                 {"name": "ood", "p_A": 0.1, "sigma": 0.1,
+                                  "out_of_dataset": True}]))
+    code, out, err = _run(capsys, ["eval", "--store", str(store_path), "--suite", str(suite),
+                                   "--only", "roc", "--roc-attack", "ood",
+                                   "--out-dir", str(tmp_path / "out")])
+    assert code == 1 and out == ""
+    message = "--roc-attack 'ood' is not an in-dataset attack of the suite"
+    assert json.loads(err)["message"] == message
+
+
+def test_eval_accuracy_rejects_a_suite_without_in_dataset_attacks(tmp_path, capsys):
+    """A suite of out-of-dataset attacks leaves the accuracy stage nothing
+    to measure; it is a data error, not a pass with a header-only CSV."""
+    store_path = tmp_path / "s.drew"
+    _build_store(store_path, count=60)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"name": "ood", "p_A": 0.1, "sigma": 0.1,
+                                  "out_of_dataset": True}]))
+    code, out, err = _run(capsys, ["eval", "--store", str(store_path), "--suite", str(suite),
+                                   "--only", "accuracy", "--out-dir", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == "accuracy evaluation needs at least one in-dataset attack"
+    assert not (tmp_path / "out" / "accuracy.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--n-in", "-5"), ("--n-in", "0"), ("--n-out", "0"),
+                                        ("--n-out", "-1")])
+def test_eval_roc_rejects_non_positive_counts(tmp_path, capsys, flag, value):
+    store_path = tmp_path / "s.drew"
+    _build_store(store_path, count=60)
+    code, out, err = _run(capsys, ["eval", "--store", str(store_path), "--only", "roc",
+                                   flag, value, "--out-dir", str(tmp_path / "out")])
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    name = flag[2:].replace("-", "_")
+    assert doc["error"] == "DataError" and doc["message"] == f"{name} must be positive"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -19,7 +19,7 @@ import pytest
 import drew
 from drew.cli import _read_queries, main
 from drew.pipeline import preprocess
-from drew.store import save_store
+from drew.store import save_store, vector_norms
 from drew.synthetic import synthetic_store
 
 
@@ -114,11 +114,14 @@ def _pin_lines(store) -> list[str]:
     ]
 
 
-# sha256 of stdout, taken before the reader and writer were rewritten
+# sha256 of stdout.  Taken when query norms moved from BLAS ddot to the
+# fixed-order einsum of drew.store.vector_norms, which changed the last bits
+# of two similarities per run and made the bytes the same on every OpenBLAS
+# kernel (tests/test_blas_kernels.py); every other field stayed as it was.
 PINS = {
-    "routed": "0ef59c32a8f580d1464280c5506e69cb1146aa5d41276c83ef0a4cbd7be867a9",
-    "naive": "56266fd5bbcb30f128a0b465be363cbf88be93beaa5d72942ffa6f52709ed197",
-    "fallback": "4c6f97dbbacd73c845a8979d81c2be4f7b865d6c5d5dd3526d3e88fef41193ae",
+    "routed": "ddf9ca30d538a38b9dc779ae2b06aa89ffe7944272fdd19da460691a734330e2",
+    "naive": "37389276630e7b50cad61933512d80449b42343d07449eafa4ef78c6383daa7b",
+    "fallback": "8b3cb6c8629d5a3be3cedaa8131633e3e3f12e22fed99e8eb94b5b5af78167f9",
 }
 FLAGS = {
     "routed": [],
@@ -266,7 +269,7 @@ def _edge_vectors(d: int) -> list[np.ndarray]:
 
 
 def test_normalisation_equals_the_per_row_norm():
-    """Each accepted embedding is bit for bit ``v / np.linalg.norm(v)``, and a
+    """Each accepted embedding is bit for bit ``v / vector_norms(v)``, and a
     vector is rejected, with the same message, exactly where that norm is
     zero or not finite."""
     d = 16
@@ -278,7 +281,7 @@ def test_normalisation_equals_the_per_row_norm():
     good = iter(range(len(qids)))
     for i, (v, slot) in enumerate(zip(vectors, slots)):
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.linalg.norm(v)
+            norm = vector_norms(v)
         if not np.isfinite(norm) or norm == 0.0:
             assert slot is not None
             assert json.loads(slot) == {"query_id": i,
@@ -289,6 +292,61 @@ def test_normalisation_equals_the_per_row_norm():
         assert qids[j] == i
         assert embs[j].tobytes() == (v / norm).tobytes()
     assert next(good, None) is None
+
+
+def test_a_file_reads_as_its_lines_read_one_by_one(pin_files):
+    """Rows are normed together after the per-line loop, yet every line of
+    a file reads bit for bit as it does alone: the same error, or the same
+    ground truth, key and embedding (a line alone has index 0, which is
+    the id of a line without one)."""
+    _, qfile = pin_files
+    lines = qfile.read_text(encoding="utf-8").splitlines(keepends=True)
+    doc = json.loads(lines[0])
+    lines += [json.dumps(dict(doc, embedding=v.tolist())) + "\n" for v in _edge_vectors(16)]
+    for naive in (False, True):
+        slots, qids, gts, keys, embs = _read_queries(lines, 16, 32, naive)
+        good = 0
+        for line in lines:
+            one = _read_queries([line], 16, 32, naive)
+            if not one[0]:  # a blank line
+                continue
+            slot = slots.pop(0)
+            if slot is not None:
+                assert json.loads(one[0][0])["error"] == json.loads(slot)["error"]
+            else:
+                assert one[0] == [None] and one[2] == [gts[good]]
+                assert naive or one[3].tobytes() == keys[good].tobytes()
+                assert one[4].tobytes() == embs[good].tobytes()
+                good += 1
+        assert slots == [] and good == len(qids) == len(embs)
+
+
+def test_bad_norm_lines_keep_their_records_and_slots(pin_files):
+    """The pin file's zero, NaN and overflowing embeddings become their
+    lines' error records in their own slots; the norm's error outranks a
+    bad key on the same line, as it did when each line was normed alone."""
+    _, qfile = pin_files
+    lines = qfile.read_text(encoding="utf-8").splitlines()
+    docs = {}
+    for i, line in enumerate(lines):
+        try:
+            docs[json.loads(line)["query_id"]] = i
+        except (ValueError, KeyError, TypeError, RecursionError):
+            pass
+    zero = json.loads(lines[docs["zero"]])
+    lines.append(json.dumps(dict(zero, query_id="zero, bad key", key="01")))
+    lines.append(json.dumps({k: v for k, v in zero.items() if k != "key"}))
+    message = "embedding must be finite and nonzero"
+    for naive in (False, True):
+        slots = _read_queries([x + "\n" for x in lines], 16, 32, naive)[0]
+        blank = [i for i, x in enumerate(lines) if not x.strip()]
+        records = {i: slots[i - sum(b < i for b in blank)] for i in range(len(lines))
+                   if i not in blank}
+        for qid in ("zero", "nan", "overflow"):
+            assert json.loads(records[docs[qid]]) == {"query_id": qid, "error": message}
+        assert json.loads(records[len(lines) - 2]) == {"query_id": "zero, bad key",
+                                                       "error": message}
+        assert json.loads(records[len(lines) - 1]) == {"query_id": "zero", "error": message}
 
 
 @pytest.mark.parametrize("command", [
