@@ -2,6 +2,7 @@
 
 Run:  python3 benchmarks/bench_query_io.py [--count 100000] [--d 64] [--queries 10000]
                                            [--passes 7] [--runs 10] [--src DIR ...]
+                                           [--json PATH]
 
 Builds a synthetic store (``--count`` x ``--d``, k=10, n=100, design_p=0.1,
 seed 1) and a file of routed queries in a temporary directory: each query
@@ -12,9 +13,13 @@ In-process stages run this checkout's ``drew.cli``, interleaved pass by
 pass, and print the median [min-max] in milliseconds:
 
 - read: the file's lines;
-- json.loads: every line, alone (the parse no reader can avoid);
-- front end: ``_read_queries`` (parse, per-line checks, stack/normalise);
-- per-line checks: front end minus json.loads minus stack/normalise;
+- json.loads: every line, alone;
+- _loads: every line through ``drew.cli._loads``, the front end's decode
+  (orjson wherever that equals json.loads);
+- front end: ``_read_queries`` (decode, per-line checks, stack/normalise);
+- per-line checks: ``_read_queries`` on documents parsed before the
+  stage (its ``_loads`` swapped for handing out the next one), so the
+  checks and stack/normalise without the decode;
 - stack/normalise: stacking the parsed rows, their norms (``vector_norms``)
   and one division by them;
 - batch_query: decode, route and scan;
@@ -26,7 +31,8 @@ checkout), interleaved, with the routed gate flags of perfbench's
 ``routed`` workload, each started from a small timer process.  It prints
 the median [min-max] wall time from spawn to reaping, the median peak RSS
 that ``wait4`` reports for the command, and the SHA-256 of each tree's
-output, which must agree.
+output, which must agree.  ``--json PATH`` also writes these numbers,
+in milliseconds and MB, to PATH.
 """
 from __future__ import annotations
 
@@ -39,15 +45,19 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
-from drew.cli import _answer_lines, _read_queries
+from drew import cli
+from drew.cli import _answer_lines, _loads, _read_queries
 from drew.pipeline import QueryConfig, batch_query, preprocess
 from drew.rng import substream
 from drew.store import load_store, save_store, vector_norms
 from drew.synthetic import synthetic_store
 
+STAGES = ("read", "json.loads", "_loads", "per-line checks", "stack/normalise", "front end",
+          "batch_query", "serialise")
 GATE = ["--reliability-mode", "last-bit", "--reliability-threshold", "0.5", "--tau-r", "-1"]
 
 
@@ -83,13 +93,21 @@ def _stage_pass(store, query_path, cfg, times):
         with open(query_path, encoding="utf-8") as fh:
             return list(fh)
 
-    def loads():
+    def decode(loads):
         for line in lines:  # one document alive at a time, as in the front end
-            json.loads(line)
+            loads(line)
+
+    def checks():
+        parsed = iter(docs)
+        with mock.patch.object(cli, "_loads", lambda line: next(parsed)):
+            return _read_queries(lines, store.d, store.spec.n, False)
 
     lines = timed("read", read)
-    timed("json.loads", loads)
-    rows = [np.asarray(json.loads(line)["embedding"], dtype=np.float64) for line in lines]
+    timed("json.loads", lambda: decode(json.loads))
+    timed("_loads", lambda: decode(_loads))
+    docs = [json.loads(line) for line in lines]
+    timed("per-line checks", checks)
+    rows = [np.asarray(doc["embedding"], dtype=np.float64) for doc in docs]
 
     def normalise():
         embs = np.stack(rows)
@@ -125,6 +143,11 @@ def _spawn(src: str, store_path: str, query_path: str, out: str) -> tuple[float,
     return float(wall), int(maxrss_kb) / 1024.0
 
 
+def _stats(values) -> dict:
+    return {"median": round(statistics.median(values), 1), "min": round(min(values), 1),
+            "max": round(max(values), 1)}
+
+
 def _span(values, unit="") -> str:
     return f"{statistics.median(values):8.1f}{unit}  [{min(values):.1f}-{max(values):.1f}]"
 
@@ -138,6 +161,7 @@ def main() -> None:
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--src", nargs="*", default=None,
                     help="src directories to run drew query from (default: this checkout's)")
+    ap.add_argument("--json", help="also write the numbers to this file")
     args = ap.parse_args()
     here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     srcs = [os.path.abspath(s) for s in (args.src or [here])]
@@ -150,11 +174,6 @@ def main() -> None:
         times: dict[str, list[float]] = {}
         for _ in range(args.passes):
             _stage_pass(store, query_path, cfg, times)
-        times["per-line checks"] = [
-            f - j - s for f, j, s in zip(times["front end"], times["json.loads"],
-                                         times["stack/normalise"])
-        ]
-
         walls = {src: [] for src in srcs}
         rss = {src: [] for src in srcs}
         digests = {}
@@ -169,13 +188,22 @@ def main() -> None:
 
     print(f"store {args.count} x {args.d}, {args.queries} routed queries; "
           f"ms over {args.passes} interleaved passes, median [min-max]")
-    for name in ("read", "json.loads", "per-line checks", "stack/normalise", "front end",
-                 "batch_query", "serialise"):
+    for name in STAGES:
         print(f"  {name:18s} {_span(times[name])}")
     print(f"drew query as a fresh process, {args.runs} interleaved runs per tree")
     for src in srcs:
         print(f"  {src}: wall {_span(walls[src], ' ms')}  "
               f"peak RSS {statistics.median(rss[src]):.1f} MB  output {digests[src]}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({
+                "args": vars(args),
+                "in_process_ms": {name: _stats(times[name]) for name in STAGES},
+                "spawned": [dict(src=src, wall_ms=_stats(walls[src]),
+                                 peak_rss_mb=statistics.median(rss[src]),
+                                 output_sha256_12=digests[src]) for src in srcs],
+            }, fh, indent=1)
+            fh.write("\n")
     if len(set(digests.values())) > 1:
         raise SystemExit("the trees wrote different answers")
 

@@ -264,6 +264,39 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
+#: A line with more ``[`` and ``{`` than this goes to ``json.loads``, whose
+#: nesting limit (RecursionError) orjson does not have.
+_FAST_BRACKETS = 64
+
+
+def _loads(line: str):
+    """``json.loads(line)`` for a query line, decoded by orjson where the two
+    agree.
+
+    orjson's numbers are correctly rounded, as json's are.  The line goes
+    to ``json.loads``, which returns or raises for it, when orjson rejects it
+    (malformed text, NaN/Infinity, a number that overflows to inf, a lone
+    surrogate), when it holds more than ``_FAST_BRACKETS`` brackets, or when
+    the document is not an object or its ``query_id`` or ``ground_truth_id``
+    is a float: orjson turns an integer outside [-2**63, 2**64) into the
+    nearest float.  Elsewhere such an integer may stay that float, which
+    ``_read_queries`` treats as it treats json's int: an embedding entry
+    becomes the same float64, and a key entry fails the same 0/1 check.
+    """
+    import orjson  # the query path's only: build and eval never load it
+
+    if line.count("[") + line.count("{") <= _FAST_BRACKETS:
+        try:
+            doc = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if (type(doc) is dict and type(doc.get("query_id")) is not float
+                    and type(doc.get("ground_truth_id")) is not float):
+                return doc
+    return json.loads(line)
+
+
 def _check_id(field: str, value) -> None:
     if not isinstance(value, _SCALARS):
         raise ValueError(f"{field} must be a string, number, boolean or null")
@@ -272,7 +305,7 @@ def _check_id(field: str, value) -> None:
 
 
 def _read_queries(lines, d: int, n: int, naive: bool):
-    """Parse and check query lines, one JSON object per line.
+    """Parse (:func:`_loads`) and check query lines, one JSON object per line.
 
     ``lines`` yields lines that end at "\n" only (stdin, or a file opened
     with ``newline="\n"``); a CRLF line's "\r" is dropped, and a blank
@@ -294,7 +327,7 @@ def _read_queries(lines, d: int, n: int, naive: bool):
             line = line.rstrip("\r\n")
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            doc = _loads(line)
             if type(doc) is not dict:
                 raise ValueError("query line must be a JSON object")
             value = doc.get("query_id", i)

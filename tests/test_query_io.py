@@ -354,6 +354,8 @@ def test_bad_norm_lines_keep_their_records_and_slots(pin_files):
     ["query", "--naive"],
 ])
 def test_build_and_query_do_not_import_evaluation(pin_files, tmp_path, command):
+    """Neither loads the evaluation code; orjson, the query lines' decoder,
+    is loaded by query only."""
     store_path, qfile = pin_files
     if command[0] == "build":
         command = command + ["--store", str(tmp_path / "b.drew")]
@@ -363,8 +365,8 @@ def test_build_and_query_do_not_import_evaluation(pin_files, tmp_path, command):
     src = os.path.dirname(os.path.dirname(drew.__file__))
     script = ("import sys, drew.cli; code = drew.cli.main(sys.argv[1:]); "
               "loaded = [m for m in ('drew.evaluation', 'concurrent.futures', 'logging') "
-              "if m in sys.modules]; print(code, loaded)")
+              "if m in sys.modules]; print(code, loaded, 'orjson' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script, *command], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert done.stdout.splitlines()[-1] == f"0 [] {command[0] == 'query'}"
